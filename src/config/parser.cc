@@ -1,1212 +1,607 @@
 #include "config/parser.h"
 
-#include <cctype>
 #include <set>
+#include <type_traits>
 
-#include "common/strings.h"
 #include "pattern/pattern.h"
 
 namespace bistro {
 
 namespace {
 
-// ------------------------------------------------------------------ Lexer
+using syntax::Alias;
+using syntax::BlockDoc;
+using syntax::Choice;
+using syntax::Cursor;
+using syntax::Custom;
+using syntax::Dur;
+using syntax::DurationLiteral;
+using syntax::Field;
+using syntax::Int;
+using syntax::Key;
+using syntax::List;
+using syntax::Num;
+using syntax::OnOff;
+using syntax::Quote;
+using syntax::Statements;
+using syntax::Str;
+using syntax::Token;
 
-enum class TokKind { kIdent, kString, kNumberUnit, kPunct, kEof };
-
-struct Token {
-  TokKind kind = TokKind::kEof;
-  std::string text;
-  int line = 0;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view src) : src_(src) {}
-
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> out;
-    while (pos_ < src_.size()) {
-      char c = src_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '#') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
-      } else if (c == '"') {
-        BISTRO_ASSIGN_OR_RETURN(Token t, LexString());
-        out.push_back(std::move(t));
-      } else if (IsAlpha(c) || c == '_') {
-        out.push_back(LexIdent());
-      } else if (IsDigit(c) || c == '-') {
-        out.push_back(LexNumberUnit());
-      } else if (c == '{' || c == '}' || c == ';' || c == ',') {
-        out.push_back(Token{TokKind::kPunct, std::string(1, c), line_});
-        ++pos_;
-      } else {
-        return Status::InvalidArgument(
-            StrFormat("config line %d: unexpected character '%c'", line_, c));
-      }
-    }
-    out.push_back(Token{TokKind::kEof, "", line_});
-    return out;
-  }
-
- private:
-  Result<Token> LexString() {
-    int start_line = line_;
-    ++pos_;  // opening quote
-    std::string text;
-    while (pos_ < src_.size() && src_[pos_] != '"') {
-      char c = src_[pos_];
-      if (c == '\\' && pos_ + 1 < src_.size()) {
-        ++pos_;
-        c = src_[pos_];
-        if (c != '"' && c != '\\') {
-          return Status::InvalidArgument(
-              StrFormat("config line %d: bad escape \\%c", line_, c));
-        }
-      } else if (c == '\n') {
-        return Status::InvalidArgument(
-            StrFormat("config line %d: unterminated string", start_line));
-      }
-      text += c;
-      ++pos_;
-    }
-    if (pos_ >= src_.size()) {
-      return Status::InvalidArgument(
-          StrFormat("config line %d: unterminated string", start_line));
-    }
-    ++pos_;  // closing quote
-    return Token{TokKind::kString, std::move(text), start_line};
-  }
-
-  Token LexIdent() {
-    size_t start = pos_;
-    while (pos_ < src_.size() &&
-           (IsAlnum(src_[pos_]) || src_[pos_] == '_' || src_[pos_] == '.')) {
-      ++pos_;
-    }
-    return Token{TokKind::kIdent, std::string(src_.substr(start, pos_ - start)),
-                 line_};
-  }
-
-  Token LexNumberUnit() {
-    size_t start = pos_;
-    if (src_[pos_] == '-') ++pos_;
-    while (pos_ < src_.size() && (IsDigit(src_[pos_]) || src_[pos_] == '.')) ++pos_;
-    while (pos_ < src_.size() && IsAlpha(src_[pos_])) ++pos_;  // unit suffix
-    return Token{TokKind::kNumberUnit,
-                 std::string(src_.substr(start, pos_ - start)), line_};
-  }
-
-  std::string_view src_;
-  size_t pos_ = 0;
-  int line_ = 1;
-};
-
-// ----------------------------------------------------------------- Parser
-
-class Parser {
- public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
-
-  Result<ServerConfig> Run() {
-    ServerConfig config;
-    while (!AtEof()) {
-      const Token& t = Peek();
-      if (t.kind == TokKind::kIdent && t.text == "group") {
-        BISTRO_RETURN_IF_ERROR(ParseGroup("", &config));
-      } else if (t.kind == TokKind::kIdent && t.text == "feed") {
-        BISTRO_RETURN_IF_ERROR(ParseFeed("", &config));
-      } else if (t.kind == TokKind::kIdent && t.text == "subscriber") {
-        BISTRO_RETURN_IF_ERROR(ParseSubscriber(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "delivery") {
-        BISTRO_RETURN_IF_ERROR(ParseDelivery(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "ingest") {
-        BISTRO_RETURN_IF_ERROR(ParseIngest(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "analyzer") {
-        BISTRO_RETURN_IF_ERROR(ParseAnalyzer(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "server") {
-        BISTRO_RETURN_IF_ERROR(ParseServer(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "peer") {
-        BISTRO_RETURN_IF_ERROR(ParsePeer(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "relay") {
-        BISTRO_RETURN_IF_ERROR(ParseRelay(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "receipts") {
-        BISTRO_RETURN_IF_ERROR(ParseReceipts(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "classifier") {
-        BISTRO_RETURN_IF_ERROR(ParseClassifier(&config));
-      } else if (t.kind == TokKind::kIdent && t.text == "plan") {
-        BISTRO_RETURN_IF_ERROR(ParsePlan(&config));
-      } else {
-        return Err(
-            "expected 'group', 'feed', 'subscriber', 'delivery', 'ingest', "
-            "'analyzer', 'receipts', 'classifier', 'server', 'peer', "
-            "'relay' or 'plan'");
-      }
-    }
-    // Cross-peer checks need the full peer list.
-    for (const PeerSpec& peer : config.peers) {
-      if (peer.failover.empty()) continue;
-      bool found = false;
-      for (const PeerSpec& other : config.peers) {
-        if (other.name == peer.failover) found = true;
-      }
-      if (!found) {
-        return Status::InvalidArgument("peer " + peer.name +
-                                       " names unknown failover peer '" +
-                                       peer.failover + "'");
-      }
-    }
-    // Group/subscriber/relay identities share one delivery namespace.
-    for (const GroupSpec& group : config.groups) {
-      for (const SubscriberSpec& sub : config.subscribers) {
-        if (sub.name == group.name) {
-          return Status::InvalidArgument(
-              "group " + group.name + " is also a subscriber name");
-        }
-      }
-      for (const GroupSpec& other : config.groups) {
-        if (&other != &group && other.name == group.name) {
-          return Status::InvalidArgument("duplicate group: " + group.name);
-        }
-      }
-    }
-    for (const RelaySpec& relay : config.relays) {
-      for (const RelaySpec& other : config.relays) {
-        if (&other != &relay && other.name == relay.name) {
-          return Status::InvalidArgument("duplicate relay: " + relay.name);
-        }
-      }
-    }
-    // One plan per selector; deeper cross-checks (unknown feeds, route
-    // targets, replication vs the peer fleet) run in the plan compiler,
-    // which sees the resolved registry.
-    for (const PlanSpec& plan : config.plans) {
-      for (const PlanSpec& other : config.plans) {
-        if (&other != &plan && other.feed == plan.feed) {
-          return Status::InvalidArgument("duplicate plan for " + plan.feed);
-        }
-      }
-    }
-    return config;
-  }
-
- private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Next() { return tokens_[pos_++]; }
-  bool AtEof() const { return Peek().kind == TokKind::kEof; }
-
-  Status Err(const std::string& what) const {
-    return Status::InvalidArgument(
-        StrFormat("config line %d: %s (got '%s')", Peek().line, what.c_str(),
-                  Peek().text.c_str()));
-  }
-
-  Status Expect(TokKind kind, std::string_view text, const char* what) {
-    const Token& t = Peek();
-    if (t.kind != kind || (!text.empty() && t.text != text)) {
-      return Err(std::string("expected ") + what);
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != TokKind::kIdent) return Err("expected identifier");
-    return Next().text;
-  }
-
-  Result<std::string> ExpectString() {
-    if (Peek().kind != TokKind::kString) return Err("expected quoted string");
-    return Next().text;
-  }
-
-  Result<Duration> ExpectDuration() {
-    if (Peek().kind != TokKind::kNumberUnit) return Err("expected duration");
-    auto d = ParseDuration(Peek().text);
-    if (!d) return Err("bad duration");
-    ++pos_;
-    return *d;
-  }
-
-  Result<int64_t> ExpectInt() {
-    if (Peek().kind != TokKind::kNumberUnit) return Err("expected integer");
-    auto v = ParseInt(Peek().text);
-    if (!v) return Err("bad integer");
-    ++pos_;
-    return *v;
-  }
-
-  Result<double> ExpectDouble() {
-    if (Peek().kind != TokKind::kNumberUnit) return Err("expected number");
-    auto v = ParseDouble(Peek().text);
-    if (!v) return Err("bad number");
-    ++pos_;
-    return *v;
-  }
-
-  Result<bool> ExpectOnOff() {
-    if (Peek().kind != TokKind::kIdent) return Err("expected 'on' or 'off'");
-    const std::string& v = Peek().text;
-    if (v != "on" && v != "off") return Err("expected 'on' or 'off'");
-    ++pos_;
-    return v == "on";
-  }
-
-  static bool IsGroupAttr(const std::string& word) {
-    return word == "feeds" || word == "members" || word == "window" ||
-           word == "straggler_after";
-  }
-
-  Status ParseGroup(const std::string& prefix, ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "group", "'group'"));
-    BISTRO_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-    std::string full = prefix.empty() ? name : prefix + "." + name;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    // The keyword is overloaded: a block of nested `feed`/`group`
-    // definitions is a feed-hierarchy prefix; a block of subscriber-ish
-    // attributes (`feeds`, `members`, ...) is a *subscriber group* — one
-    // shared delivery identity fanned out to many member endpoints.
-    if (Peek().kind == TokKind::kIdent && IsGroupAttr(Peek().text)) {
-      if (!prefix.empty()) {
-        return Err("subscriber group '" + name +
-                   "' cannot be nested inside feed group '" + prefix + "'");
-      }
-      return ParseSubscriberGroup(std::move(name), config);
-    }
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated group");
-      const Token& t = Peek();
-      if (t.kind == TokKind::kIdent && t.text == "group") {
-        BISTRO_RETURN_IF_ERROR(ParseGroup(full, config));
-      } else if (t.kind == TokKind::kIdent && t.text == "feed") {
-        BISTRO_RETURN_IF_ERROR(ParseFeed(full, config));
-      } else {
-        return Err("expected 'group' or 'feed' inside group");
-      }
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  /// Body of a subscriber group; the opening `group <name> {` and the
-  /// first attribute peek already happened in ParseGroup.
-  Status ParseSubscriberGroup(std::string name, ServerConfig* config) {
-    GroupSpec group;
-    group.name = std::move(name);
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated group");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "feeds") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        group.feeds.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          group.feeds.push_back(std::move(next));
-        }
-      } else if (attr == "members") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        group.members.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          group.members.push_back(std::move(next));
-        }
-      } else if (attr == "window") {
-        BISTRO_ASSIGN_OR_RETURN(group.window, ExpectDuration());
-      } else if (attr == "straggler_after") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("straggler_after must be at least 1");
-        group.straggler_after = static_cast<int>(n);
-      } else {
-        return Err("unknown group attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (group.feeds.empty()) {
-      return Status::InvalidArgument("group " + group.name +
-                                     " subscribes to no feeds");
-    }
-    if (group.members.empty()) {
-      return Status::InvalidArgument("group " + group.name + " has no members");
-    }
-    std::set<std::string> seen;
-    for (const std::string& member : group.members) {
-      if (!seen.insert(member).second) {
-        return Status::InvalidArgument("group " + group.name +
-                                       " lists member '" + member + "' twice");
-      }
-    }
-    config->groups.push_back(std::move(group));
-    return Status::OK();
-  }
-
-  Status ParseRelay(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "relay", "'relay'"));
-    RelaySpec relay;
-    BISTRO_ASSIGN_OR_RETURN(relay.name, ExpectIdent());
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated relay");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "children") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        relay.children.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          relay.children.push_back(std::move(next));
-        }
-      } else if (attr == "spool") {
-        BISTRO_ASSIGN_OR_RETURN(relay.spool, ExpectString());
-      } else if (attr == "retry_backoff") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("retry_backoff must be positive");
-        relay.retry_backoff = v;
-      } else if (attr == "max_attempts") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("max_attempts must be at least 1");
-        relay.max_attempts = static_cast<int>(n);
-      } else {
-        return Err("unknown relay attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (relay.children.empty()) {
-      return Status::InvalidArgument("relay " + relay.name +
-                                     " has no children");
-    }
-    config->relays.push_back(std::move(relay));
-    return Status::OK();
-  }
-
-  Status ParseReceipts(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "receipts", "'receipts'"));
-    ReceiptTuningSpec* r = &config->receipts;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated receipts block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "shards") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0 || v > 256) return Err("shards must be in [1, 256]");
-        r->shards = static_cast<int>(v);
-      } else {
-        return Err("unknown receipts attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParseClassifier(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(
-        Expect(TokKind::kIdent, "classifier", "'classifier'"));
-    ClassifierTuningSpec* c = &config->classifier;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated classifier block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "mode") {
-        BISTRO_ASSIGN_OR_RETURN(std::string v, ExpectIdent());
-        if (v != "automaton" && v != "trie" && v != "linear") {
-          return Err("classifier mode must be automaton, trie or linear");
-        }
-        c->mode = v;
-      } else {
-        return Err("unknown classifier attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParsePlan(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "plan", "'plan'"));
-    PlanSpec plan;
-    BISTRO_ASSIGN_OR_RETURN(plan.feed, ExpectIdent());
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    bool has_attr = false;
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated plan");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      has_attr = true;
-      if (attr == "route") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        plan.route.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          plan.route.push_back(std::move(next));
-        }
-      } else if (attr == "split") {
-        for (;;) {
-          PlanSplitArm arm;
-          BISTRO_ASSIGN_OR_RETURN(int64_t pct, ExpectInt());
-          if (pct < 1 || pct > 100) {
-            return Err("split percent must be in [1, 100]");
-          }
-          arm.percent = static_cast<int>(pct);
-          BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "to", "'to'"));
-          BISTRO_ASSIGN_OR_RETURN(arm.to, ExpectIdent());
-          plan.split.push_back(std::move(arm));
-          if (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-            ++pos_;
-            continue;
-          }
-          break;
-        }
-        int total = 0;
-        for (const PlanSplitArm& arm : plan.split) total += arm.percent;
-        if (total != 100) return Err("split percents must sum to 100");
-        std::set<std::string> arms;
-        for (const PlanSplitArm& arm : plan.split) {
-          if (!arms.insert(arm.to).second) {
-            return Err("split lists arm '" + arm.to + "' twice");
-          }
-        }
-      } else if (attr == "replicate") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("replicate must be at least 1");
-        plan.replicate = static_cast<int>(n);
-      } else if (attr == "sample") {
-        BISTRO_ASSIGN_OR_RETURN(double v, ExpectDouble());
-        if (v <= 0 || v > 100) return Err("sample must be in (0, 100]");
-        plan.sample = v;
-      } else if (attr == "transform") {
-        BISTRO_ASSIGN_OR_RETURN(std::string v, ExpectIdent());
-        if (v != "none" && v != "rle" && v != "lz" && v != "decompress") {
-          return Err("transform must be none, rle, lz or decompress");
-        }
-        plan.transform = std::move(v);
-      } else if (attr == "quota" || attr == "quota_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err(attr + " must be at least 1");
-        if (attr == "quota") {
-          plan.quota_files = n;
-        } else {
-          plan.quota_bytes = n;
-        }
-        if (Peek().kind == TokKind::kIdent && Peek().text == "per") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-          if (v <= 0) return Err("quota interval must be positive");
-          plan.quota_interval = v;
-        }
-      } else if (attr == "slo") {
-        BISTRO_ASSIGN_OR_RETURN(std::string v, ExpectIdent());
-        if (v != "interactive" && v != "standard" && v != "bulk") {
-          return Err("slo must be interactive, standard or bulk");
-        }
-        plan.slo = std::move(v);
-      } else if (attr == "enrich") {
-        for (;;) {
-          BISTRO_ASSIGN_OR_RETURN(std::string op, ExpectIdent());
-          if (op != "provenance" && op != "checksum") {
-            return Err("enrich op must be provenance or checksum");
-          }
-          plan.enrich.push_back(std::move(op));
-          if (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-            ++pos_;
-            continue;
-          }
-          break;
-        }
-      } else {
-        return Err("unknown plan attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (!has_attr) {
-      return Status::InvalidArgument("plan " + plan.feed +
-                                     " declares nothing");
-    }
-    config->plans.push_back(std::move(plan));
-    return Status::OK();
-  }
-
-  Status ParseFeed(const std::string& prefix, ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "feed", "'feed'"));
-    BISTRO_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-    FeedSpec feed;
-    feed.name = prefix.empty() ? name : prefix + "." + name;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated feed");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "pattern") {
-        BISTRO_ASSIGN_OR_RETURN(std::string pattern, ExpectString());
-        // Validate early: load-time errors beat classification-time errors.
-        BISTRO_RETURN_IF_ERROR(Pattern::Compile(pattern).status());
-        // First clause is the primary pattern; repeats are alternates
-        // (typically analyzer-suggested revisions that were approved).
-        if (feed.pattern.empty()) {
-          feed.pattern = std::move(pattern);
-        } else {
-          feed.alt_patterns.push_back(std::move(pattern));
-        }
-      } else if (attr == "normalize") {
-        BISTRO_ASSIGN_OR_RETURN(feed.normalize.rename_template, ExpectString());
-        BISTRO_RETURN_IF_ERROR(
-            Pattern::Compile(feed.normalize.rename_template).status());
-      } else if (attr == "compress") {
-        BISTRO_ASSIGN_OR_RETURN(std::string codec, ExpectIdent());
-        BISTRO_ASSIGN_OR_RETURN(feed.normalize.codec, CodecKindFromName(codec));
-        feed.normalize.action = CompressionAction::kCompress;
-      } else if (attr == "decompress") {
-        feed.normalize.action = CompressionAction::kDecompress;
-      } else if (attr == "tardiness") {
-        BISTRO_ASSIGN_OR_RETURN(feed.tardiness, ExpectDuration());
-      } else {
-        return Err("unknown feed attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (feed.pattern.empty()) {
-      return Status::InvalidArgument("feed " + feed.name + " has no pattern");
-    }
-    config->feeds.push_back(std::move(feed));
-    return Status::OK();
-  }
-
-  Status ParseTrigger(TriggerSpec* trigger) {
-    BISTRO_ASSIGN_OR_RETURN(std::string kind, ExpectIdent());
-    if (kind == "file") {
-      trigger->batch.mode = BatchSpec::Mode::kPerFile;
-    } else if (kind == "punctuation") {
-      trigger->batch.mode = BatchSpec::Mode::kPunctuation;
-    } else if (kind == "batch") {
-      bool has_count = false, has_timeout = false;
-      while (Peek().kind == TokKind::kIdent &&
-             (Peek().text == "count" || Peek().text == "timeout")) {
-        std::string opt = Next().text;
-        if (opt == "count") {
-          BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-          if (n <= 0) return Err("batch count must be positive");
-          trigger->batch.count = static_cast<int>(n);
-          has_count = true;
-        } else {
-          BISTRO_ASSIGN_OR_RETURN(trigger->batch.timeout, ExpectDuration());
-          has_timeout = true;
-        }
-      }
-      if (has_count && has_timeout) {
-        trigger->batch.mode = BatchSpec::Mode::kCountOrTime;
-      } else if (has_count) {
-        trigger->batch.mode = BatchSpec::Mode::kCount;
-      } else if (has_timeout) {
-        trigger->batch.mode = BatchSpec::Mode::kTime;
-      } else {
-        return Err("batch trigger needs count and/or timeout");
-      }
-    } else {
-      return Err("unknown trigger kind '" + kind + "'");
-    }
-    while (Peek().kind == TokKind::kIdent &&
-           (Peek().text == "exec" || Peek().text == "remote")) {
-      std::string opt = Next().text;
-      if (opt == "exec") {
-        BISTRO_ASSIGN_OR_RETURN(trigger->command, ExpectString());
-      } else {
-        trigger->remote = true;
-      }
-    }
-    return Status::OK();
-  }
-
-  Status ParseDelivery(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "delivery", "'delivery'"));
-    DeliveryTuningSpec* d = &config->delivery;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated delivery block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "retry_backoff" || attr == "retry_backoff_min") {
-        // "retry_backoff" predates the exponential schedule; it sets the
-        // same floor the new name does.
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        d->retry_backoff_min = v;
-      } else if (attr == "retry_backoff_max") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        d->retry_backoff_max = v;
-      } else if (attr == "retry_multiplier") {
-        BISTRO_ASSIGN_OR_RETURN(double v, ExpectDouble());
-        if (v < 1.0) return Err("retry_multiplier must be >= 1");
-        d->retry_multiplier = v;
-      } else if (attr == "retry_jitter") {
-        BISTRO_ASSIGN_OR_RETURN(bool v, ExpectOnOff());
-        d->retry_jitter = v;
-      } else if (attr == "max_attempts") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("max_attempts must be positive");
-        d->max_attempts = static_cast<int>(v);
-      } else if (attr == "offline_after") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("offline_after must be positive");
-        d->offline_after = static_cast<int>(v);
-      } else if (attr == "probe_interval") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        d->probe_interval = v;
-      } else if (attr == "window") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("window must be >= 0");
-        d->window = static_cast<int>(v);
-      } else if (attr == "coalesce_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("coalesce_bytes must be >= 0");
-        d->coalesce_bytes = v;
-      } else if (attr == "cache_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("cache_bytes must be >= 0");
-        d->cache_bytes = v;
-      } else if (attr == "receipt_group") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("receipt_group must be positive");
-        d->receipt_group = static_cast<int>(v);
-      } else if (attr == "receipt_flush_interval") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        d->receipt_flush_interval = v;
-      } else {
-        return Err("unknown delivery attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParseIngest(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "ingest", "'ingest'"));
-    IngestTuningSpec* g = &config->ingest;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated ingest block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "workers") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("workers must be >= 0");
-        g->workers = static_cast<int>(v);
-      } else if (attr == "queue_depth") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("queue_depth must be positive");
-        g->queue_depth = static_cast<int>(v);
-      } else if (attr == "batch") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("batch must be positive");
-        g->batch = static_cast<int>(v);
-      } else if (attr == "overload_policy") {
-        BISTRO_ASSIGN_OR_RETURN(std::string v, ExpectIdent());
-        if (v != "block" && v != "shed_oldest" && v != "spill") {
-          return Err("overload_policy must be block, shed_oldest or spill");
-        }
-        g->overload_policy = std::move(v);
-      } else {
-        return Err("unknown ingest attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParseAnalyzer(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "analyzer", "'analyzer'"));
-    AnalyzerTuningSpec* a = &config->analyzer;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated analyzer block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "workers") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v < 0) return Err("workers must be >= 0");
-        a->workers = static_cast<int>(v);
-      } else if (attr == "max_corpus") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("max_corpus must be positive");
-        a->max_corpus = static_cast<int>(v);
-      } else if (attr == "shards") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("shards must be positive");
-        a->shards = static_cast<int>(v);
-      } else if (attr == "cycle_interval") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("cycle_interval must be positive");
-        a->cycle_interval = v;
-      } else {
-        return Err("unknown analyzer attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParseServer(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "server", "'server'"));
-    ServerNetSpec* s = &config->server;
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated server block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "listen") {
-        BISTRO_ASSIGN_OR_RETURN(s->listen, ExpectString());
-      } else if (attr == "max_frame_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("max_frame_bytes must be positive");
-        s->max_frame_bytes = v;
-      } else if (attr == "outbound_queue_bytes") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, ExpectInt());
-        if (v <= 0) return Err("outbound_queue_bytes must be positive");
-        s->outbound_queue_bytes = v;
-      } else if (attr == "reconnect_backoff_min") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("reconnect_backoff_min must be positive");
-        s->reconnect_backoff_min = v;
-      } else if (attr == "reconnect_backoff_max") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("reconnect_backoff_max must be positive");
-        s->reconnect_backoff_max = v;
-      } else if (attr == "ack_timeout") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("ack_timeout must be positive");
-        s->ack_timeout = v;
-      } else {
-        return Err("unknown server attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParsePeer(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "peer", "'peer'"));
-    PeerSpec peer;
-    BISTRO_ASSIGN_OR_RETURN(peer.name, ExpectIdent());
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated peer");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "address") {
-        BISTRO_ASSIGN_OR_RETURN(peer.address, ExpectString());
-      } else if (attr == "feeds") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        peer.feeds.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          peer.feeds.push_back(std::move(next));
-        }
-      } else if (attr == "shard") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t index, ExpectInt());
-        BISTRO_RETURN_IF_ERROR(Expect(TokKind::kIdent, "of", "'of'"));
-        BISTRO_ASSIGN_OR_RETURN(int64_t count, ExpectInt());
-        if (count <= 0) return Err("shard count must be positive");
-        if (index < 0 || index >= count) {
-          return Err("shard index must be in [0, count)");
-        }
-        peer.shard_index = static_cast<int>(index);
-        peer.shard_count = static_cast<int>(count);
-      } else if (attr == "window") {
-        BISTRO_ASSIGN_OR_RETURN(peer.window, ExpectDuration());
-      } else if (attr == "replicas") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("replicas must be at least 1");
-        peer.replicas = static_cast<int>(n);
-      } else if (attr == "failover") {
-        BISTRO_ASSIGN_OR_RETURN(peer.failover, ExpectIdent());
-      } else if (attr == "probe_interval") {
-        BISTRO_ASSIGN_OR_RETURN(Duration v, ExpectDuration());
-        if (v <= 0) return Err("probe_interval must be positive");
-        peer.probe_interval = v;
-      } else if (attr == "suspect_after") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("suspect_after must be at least 1");
-        peer.suspect_after = static_cast<int>(n);
-      } else if (attr == "down_after") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t n, ExpectInt());
-        if (n < 1) return Err("down_after must be at least 1");
-        peer.down_after = static_cast<int>(n);
-      } else {
-        return Err("unknown peer attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (peer.address.empty()) {
-      return Status::InvalidArgument("peer " + peer.name + " has no address");
-    }
-    if (!peer.feeds.empty() && peer.shard_count > 0) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " sets both explicit feeds and sharding");
-    }
-    if (peer.replicas > 1 && peer.shard_count == 0) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " sets replicas without sharding");
-    }
-    if (peer.shard_count > 0 && peer.replicas > peer.shard_count) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " sets replicas above its shard count");
-    }
-    if (peer.failover == peer.name) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " names itself as failover");
-    }
-    if (peer.suspect_after && peer.down_after &&
-        *peer.down_after < *peer.suspect_after) {
-      return Status::InvalidArgument(
-          "peer " + peer.name + " sets down_after below suspect_after");
-    }
-    config->peers.push_back(std::move(peer));
-    return Status::OK();
-  }
-
-  Status ParseSubscriber(ServerConfig* config) {
-    BISTRO_RETURN_IF_ERROR(
-        Expect(TokKind::kIdent, "subscriber", "'subscriber'"));
-    SubscriberSpec sub;
-    BISTRO_ASSIGN_OR_RETURN(sub.name, ExpectIdent());
-    BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, "{", "'{'"));
-    while (!(Peek().kind == TokKind::kPunct && Peek().text == "}")) {
-      if (AtEof()) return Err("unterminated subscriber");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, ExpectIdent());
-      if (attr == "host") {
-        BISTRO_ASSIGN_OR_RETURN(sub.host, ExpectString());
-      } else if (attr == "destination") {
-        BISTRO_ASSIGN_OR_RETURN(sub.destination, ExpectString());
-      } else if (attr == "feeds") {
-        BISTRO_ASSIGN_OR_RETURN(std::string first, ExpectIdent());
-        sub.feeds.push_back(std::move(first));
-        while (Peek().kind == TokKind::kPunct && Peek().text == ",") {
-          ++pos_;
-          BISTRO_ASSIGN_OR_RETURN(std::string next, ExpectIdent());
-          sub.feeds.push_back(std::move(next));
-        }
-      } else if (attr == "method") {
-        BISTRO_ASSIGN_OR_RETURN(std::string m, ExpectIdent());
-        if (m == "push") {
-          sub.method = DeliveryMethod::kPush;
-        } else if (m == "notify") {
-          sub.method = DeliveryMethod::kNotify;
-        } else {
-          return Err("unknown delivery method '" + m + "'");
-        }
-      } else if (attr == "window") {
-        BISTRO_ASSIGN_OR_RETURN(sub.window, ExpectDuration());
-      } else if (attr == "trigger") {
-        BISTRO_RETURN_IF_ERROR(ParseTrigger(&sub.trigger));
-      } else {
-        return Err("unknown subscriber attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(Expect(TokKind::kPunct, ";", "';'"));
-    }
-    ++pos_;  // consume '}'
-    if (sub.feeds.empty()) {
-      return Status::InvalidArgument("subscriber " + sub.name +
-                                     " subscribes to no feeds");
-    }
-    config->subscribers.push_back(std::move(sub));
-    return Status::OK();
-  }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-};
-
-// Emits a duration in the single-unit form the config lexer accepts
-// (FormatDuration's human form like "1m30s" does not round-trip).
-std::string DurationLiteral(Duration d) {
-  if (d % kDay == 0 && d != 0) return StrFormat("%lldd", (long long)(d / kDay));
-  if (d % kHour == 0 && d != 0) return StrFormat("%lldh", (long long)(d / kHour));
-  if (d % kMinute == 0 && d != 0) {
-    return StrFormat("%lldm", (long long)(d / kMinute));
-  }
-  if (d % kSecond == 0) return StrFormat("%llds", (long long)(d / kSecond));
-  if (d % kMillisecond == 0) {
-    return StrFormat("%lldms", (long long)(d / kMillisecond));
-  }
-  return StrFormat("%lldus", (long long)d);
+// Reads a quoted pattern and compiles it: load-time errors beat
+// classification-time errors.
+Status ReadPattern(Cursor& in, std::string* out) {
+  const size_t at = in.Peek().offset;
+  BISTRO_ASSIGN_OR_RETURN(*out, in.String());
+  Status compiled = Pattern::Compile(*out).status();
+  if (!compiled.ok()) return in.ErrAt(at, compiled.message());
+  return Status::OK();
 }
 
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+// ------------------------------------------------------------------ feed
+
+const std::vector<Key<FeedSpec>> kFeedKeys = {
+    // The first clause is the primary pattern; repeats are alternates
+    // (typically analyzer-suggested revisions that were approved).
+    Custom<FeedSpec>(
+        "pattern", "quoted pattern",
+        [](Cursor& in, FeedSpec& f) -> Status {
+          const size_t at = in.Peek().offset;
+          std::string pattern;
+          BISTRO_RETURN_IF_ERROR(ReadPattern(in, &pattern));
+          if (pattern.empty()) return in.ErrAt(at, "pattern is empty");
+          (f.pattern.empty() ? f.pattern : f.alt_patterns.emplace_back()) =
+              std::move(pattern);
+          return Status::OK();
+        },
+        [](const FeedSpec& f, Statements* out) {
+          if (f.pattern.empty()) return;
+          out->push_back("pattern " + Quote(f.pattern));
+          for (const std::string& alt : f.alt_patterns) {
+            out->push_back("pattern " + Quote(alt));
+          }
+        })
+        .Required(),
+    Custom<FeedSpec>(
+        "normalize", "quoted pattern",
+        [](Cursor& in, FeedSpec& f) {
+          return ReadPattern(in, &f.normalize.rename_template);
+        },
+        [](const FeedSpec& f, Statements* out) {
+          const std::string& t = f.normalize.rename_template;
+          if (!t.empty()) out->push_back("normalize " + Quote(t));
+        }),
+    Custom<FeedSpec>(
+        "compress", "none / rle / lz",
+        [](Cursor& in, FeedSpec& f) -> Status {
+          const size_t at = in.Peek().offset;
+          BISTRO_ASSIGN_OR_RETURN(std::string name, in.Ident());
+          Result<CodecKind> codec = CodecKindFromName(name);
+          if (!codec.ok()) return in.ErrAt(at, codec.status().message());
+          f.normalize.codec = *codec;
+          f.normalize.action = CompressionAction::kCompress;
+          return Status::OK();
+        },
+        [](const FeedSpec& f, Statements* out) {
+          if (f.normalize.action != CompressionAction::kCompress) return;
+          out->push_back("compress " +
+                         std::string(CodecKindName(f.normalize.codec)));
+        }),
+    Custom<FeedSpec>(
+        "decompress", "flag",
+        [](Cursor&, FeedSpec& f) {
+          f.normalize.action = CompressionAction::kDecompress;
+          f.normalize.codec = NormalizeSpec{}.codec;
+          return Status::OK();
+        },
+        [](const FeedSpec& f, Statements* out) {
+          if (f.normalize.action == CompressionAction::kDecompress) {
+            out->push_back("decompress");
+          }
+        }),
+    Dur("tardiness", &FeedSpec::tardiness),
+};
+
+// ------------------------------------------------------------ subscriber
+
+Status ParseTrigger(Cursor& in, SubscriberSpec& sub) {
+  BatchSpec& batch = sub.trigger.batch;
+  if (in.Take("file")) {
+    batch.mode = BatchSpec::Mode::kPerFile;
+  } else if (in.Take("punctuation")) {
+    batch.mode = BatchSpec::Mode::kPunctuation;
+  } else if (in.Take("batch")) {
+    bool count = false, timeout = false;
+    for (;;) {
+      if (in.Take("count")) {
+        const size_t at = in.Peek().offset;
+        BISTRO_ASSIGN_OR_RETURN(int64_t n, in.Int());
+        if (n <= 0 || n > INT32_MAX) {
+          return in.ErrAt(at, "batch count must be positive");
+        }
+        batch.count = static_cast<int>(n);
+        count = true;
+      } else if (in.Take("timeout")) {
+        BISTRO_ASSIGN_OR_RETURN(batch.timeout, in.Dur());
+        timeout = true;
+      } else {
+        break;
+      }
+    }
+    if (!count && !timeout) {
+      return in.Err("batch trigger needs count and/or timeout");
+    }
+    batch.mode = count && timeout ? BatchSpec::Mode::kCountOrTime
+                 : count          ? BatchSpec::Mode::kCount
+                                  : BatchSpec::Mode::kTime;
+  } else {
+    return in.Err("trigger must be file, punctuation or batch");
   }
-  out += '"';
-  return out;
+  for (;;) {
+    if (in.Take("exec")) {
+      BISTRO_ASSIGN_OR_RETURN(sub.trigger.command, in.String());
+    } else if (in.Take("remote")) {
+      sub.trigger.remote = true;
+    } else {
+      return Status::OK();
+    }
+  }
+}
+
+const char kTriggerSyntax[] =
+    "(file / punctuation / batch [count N] [timeout D]) [exec \"cmd\"] "
+    "[remote]";
+
+void FormatTrigger(const SubscriberSpec& sub, Statements* out) {
+  const TriggerSpec& t = sub.trigger;
+  if (t == TriggerSpec{}) return;
+  std::string s = "trigger ";
+  switch (t.batch.mode) {
+    case BatchSpec::Mode::kPerFile:
+      s += "file";
+      break;
+    case BatchSpec::Mode::kPunctuation:
+      s += "punctuation";
+      break;
+    case BatchSpec::Mode::kCount:
+      s += StrFormat("batch count %d", t.batch.count);
+      break;
+    case BatchSpec::Mode::kTime:
+      s += "batch timeout " + DurationLiteral(t.batch.timeout);
+      break;
+    case BatchSpec::Mode::kCountOrTime:
+      s += StrFormat("batch count %d timeout ", t.batch.count) +
+           DurationLiteral(t.batch.timeout);
+      break;
+  }
+  if (!t.command.empty()) s += " exec " + Quote(t.command);
+  if (t.remote) s += " remote";
+  out->push_back(std::move(s));
+}
+
+const std::vector<Key<SubscriberSpec>> kSubscriberKeys = {
+    Str("host", &SubscriberSpec::host),
+    Str("destination", &SubscriberSpec::destination),
+    List("feeds", &SubscriberSpec::feeds).Required(),
+    Choice("method", &SubscriberSpec::method, {"push", "notify"},
+           {DeliveryMethod::kPush, DeliveryMethod::kNotify}),
+    Custom<SubscriberSpec>("trigger", kTriggerSyntax, ParseTrigger,
+                           FormatTrigger),
+    Dur("window", &SubscriberSpec::window),
+};
+
+// ------------------------------------------- subscriber group and relay
+
+const std::vector<Key<GroupSpec>> kGroupKeys = {
+    List("feeds", &GroupSpec::feeds).Required(),
+    List("members", &GroupSpec::members).Required(),
+    Dur("window", &GroupSpec::window),
+    Int("straggler_after", &GroupSpec::straggler_after, 1),
+};
+
+std::string CheckGroup(const GroupSpec& group) {
+  std::set<std::string> seen;
+  for (const std::string& member : group.members) {
+    if (!seen.insert(member).second) return "lists member '" + member + "' twice";
+  }
+  return "";
+}
+
+const std::vector<Key<RelaySpec>> kRelayKeys = {
+    List("children", &RelaySpec::children).Required(),
+    Str("spool", &RelaySpec::spool),
+    Dur("retry_backoff", &RelaySpec::retry_backoff, true),
+    Int("max_attempts", &RelaySpec::max_attempts, 1),
+};
+
+// ------------------------------------------------------------------ plan
+
+// `quota N [per <interval>]` and `quota_bytes ...` share one interval.
+Key<PlanSpec> QuotaKey(std::string name,
+                       std::optional<int64_t> PlanSpec::*budget) {
+  return Custom<PlanSpec>(
+      name, "N [per <duration>]",
+      [name, budget](Cursor& in, PlanSpec& plan) -> Status {
+        const size_t at = in.Peek().offset;
+        BISTRO_ASSIGN_OR_RETURN(int64_t n, in.Int());
+        if (n < 1) return in.ErrAt(at, name + " must be at least 1");
+        plan.*budget = n;
+        if (!in.Take("per")) return Status::OK();
+        const size_t per = in.Peek().offset;
+        BISTRO_ASSIGN_OR_RETURN(plan.quota_interval, in.Dur());
+        if (plan.quota_interval <= 0) {
+          return in.ErrAt(per, "quota interval must be positive");
+        }
+        return Status::OK();
+      },
+      [name, budget](const PlanSpec& plan, Statements* out) {
+        if (!(plan.*budget)) return;
+        out->push_back(name + " " + std::to_string(*(plan.*budget)) +
+                       " per " + DurationLiteral(plan.quota_interval));
+      });
+}
+
+const std::vector<Key<PlanSpec>> kPlanKeys = {
+    List("route", &PlanSpec::route),
+    Custom<PlanSpec>(
+        "split", "N to <id>, ...",
+        [](Cursor& in, PlanSpec& plan) -> Status {
+          const size_t at = in.Peek().offset;
+          plan.split.clear();
+          int total = 0;
+          std::set<std::string> arms;
+          do {
+            PlanSplitArm arm;
+            const size_t pct_at = in.Peek().offset;
+            BISTRO_ASSIGN_OR_RETURN(int64_t pct, in.Int());
+            if (pct < 1 || pct > 100) {
+              return in.ErrAt(pct_at, "split percent must be in [1, 100]");
+            }
+            arm.percent = static_cast<int>(pct);
+            total += arm.percent;
+            BISTRO_RETURN_IF_ERROR(in.Expect("to"));
+            const size_t to_at = in.Peek().offset;
+            BISTRO_ASSIGN_OR_RETURN(arm.to, in.Ident());
+            if (!arms.insert(arm.to).second) {
+              return in.ErrAt(to_at, "split lists arm '" + arm.to + "' twice");
+            }
+            plan.split.push_back(std::move(arm));
+          } while (in.Take(","));
+          if (total != 100) return in.ErrAt(at, "split percents must sum to 100");
+          return Status::OK();
+        },
+        [](const PlanSpec& plan, Statements* out) {
+          if (plan.split.empty()) return;
+          std::vector<std::string> arms;
+          for (const PlanSplitArm& arm : plan.split) {
+            arms.push_back(std::to_string(arm.percent) + " to " + arm.to);
+          }
+          out->push_back("split " + Join(arms, ", "));
+        }),
+    Int("replicate", &PlanSpec::replicate, 1),
+    Num("sample", &PlanSpec::sample, 0, 100, /*lo_open=*/true),
+    Choice("transform", &PlanSpec::transform,
+           {"none", "rle", "lz", "decompress"}),
+    QuotaKey("quota", &PlanSpec::quota_files),
+    QuotaKey("quota_bytes", &PlanSpec::quota_bytes),
+    Choice("slo", &PlanSpec::slo, {"interactive", "standard", "bulk"}),
+    List("enrich", &PlanSpec::enrich, {"provenance", "checksum"}),
+};
+
+std::string CheckPlan(const PlanSpec& plan) {
+  PlanSpec blank;
+  blank.feed = plan.feed;
+  return plan == blank ? "declares nothing" : "";
+}
+
+// ---------------------------------------------------------- tuning blocks
+
+const std::vector<Key<DeliveryTuningSpec>> kDeliveryKeys = {
+    Dur("retry_backoff_min", &DeliveryTuningSpec::retry_backoff_min),
+    // Predates the exponential schedule; sets the same floor.
+    Alias<DeliveryTuningSpec>("retry_backoff", "retry_backoff_min"),
+    Dur("retry_backoff_max", &DeliveryTuningSpec::retry_backoff_max),
+    Num("retry_multiplier", &DeliveryTuningSpec::retry_multiplier, 1),
+    OnOff("retry_jitter", &DeliveryTuningSpec::retry_jitter),
+    Int("max_attempts", &DeliveryTuningSpec::max_attempts, 1),
+    Int("offline_after", &DeliveryTuningSpec::offline_after, 1),
+    Dur("probe_interval", &DeliveryTuningSpec::probe_interval),
+    Int("window", &DeliveryTuningSpec::window, 0),
+    Int("coalesce_bytes", &DeliveryTuningSpec::coalesce_bytes, 0),
+    Int("cache_bytes", &DeliveryTuningSpec::cache_bytes, 0),
+    Int("receipt_group", &DeliveryTuningSpec::receipt_group, 1),
+    Dur("receipt_flush_interval", &DeliveryTuningSpec::receipt_flush_interval),
+};
+
+const std::vector<Key<IngestTuningSpec>> kIngestKeys = {
+    Int("workers", &IngestTuningSpec::workers, 0),
+    Int("queue_depth", &IngestTuningSpec::queue_depth, 1),
+    Int("batch", &IngestTuningSpec::batch, 1),
+    Choice("overload_policy", &IngestTuningSpec::overload_policy,
+           {"block", "shed_oldest", "spill"}),
+};
+
+const std::vector<Key<AnalyzerTuningSpec>> kAnalyzerKeys = {
+    Int("workers", &AnalyzerTuningSpec::workers, 0),
+    Int("max_corpus", &AnalyzerTuningSpec::max_corpus, 1),
+    Int("shards", &AnalyzerTuningSpec::shards, 1),
+    Dur("cycle_interval", &AnalyzerTuningSpec::cycle_interval, true),
+};
+
+const std::vector<Key<ReceiptTuningSpec>> kReceiptKeys = {
+    Int("shards", &ReceiptTuningSpec::shards, 1, 256),
+};
+
+const std::vector<Key<ClassifierTuningSpec>> kClassifierKeys = {
+    Choice("mode", &ClassifierTuningSpec::mode,
+           {"automaton", "trie", "linear"}),
+};
+
+// ---------------------------------------------------- server and peers
+
+const std::vector<Key<ServerNetSpec>> kServerKeys = {
+    Str("listen", &ServerNetSpec::listen),
+    Int("max_frame_bytes", &ServerNetSpec::max_frame_bytes, 1),
+    Int("outbound_queue_bytes", &ServerNetSpec::outbound_queue_bytes, 1),
+    Dur("reconnect_backoff_min", &ServerNetSpec::reconnect_backoff_min, true),
+    Dur("reconnect_backoff_max", &ServerNetSpec::reconnect_backoff_max, true),
+    Dur("ack_timeout", &ServerNetSpec::ack_timeout, true),
+};
+
+const std::vector<Key<PeerSpec>> kPeerKeys = {
+    Str("address", &PeerSpec::address).Required(),
+    List("feeds", &PeerSpec::feeds),
+    Custom<PeerSpec>(
+        "shard", "<i> of <n>",
+        [](Cursor& in, PeerSpec& peer) -> Status {
+          const size_t at = in.Peek().offset;
+          BISTRO_ASSIGN_OR_RETURN(int64_t index, in.Int());
+          BISTRO_RETURN_IF_ERROR(in.Expect("of"));
+          BISTRO_ASSIGN_OR_RETURN(int64_t count, in.Int());
+          if (count <= 0 || count > INT32_MAX) {
+            return in.ErrAt(at, "shard count must be positive");
+          }
+          if (index < 0 || index >= count) {
+            return in.ErrAt(at, "shard index must be in [0, count)");
+          }
+          peer.shard_index = static_cast<int>(index);
+          peer.shard_count = static_cast<int>(count);
+          return Status::OK();
+        },
+        [](const PeerSpec& peer, Statements* out) {
+          if (peer.shard_count == 0) return;
+          out->push_back(StrFormat("shard %d of %d", peer.shard_index,
+                                   peer.shard_count));
+        }),
+    Dur("window", &PeerSpec::window),
+    Int("replicas", &PeerSpec::replicas, 1),
+    Field("failover", &PeerSpec::failover, "peer name",
+          [](Cursor& in) { return in.Ident(); },
+          [](const std::string& peer) { return peer; }),
+    Dur("probe_interval", &PeerSpec::probe_interval, true),
+    Int("suspect_after", &PeerSpec::suspect_after, 1),
+    Int("down_after", &PeerSpec::down_after, 1),
+};
+
+std::string CheckPeer(const PeerSpec& peer) {
+  if (peer.address.empty()) return "has no address";
+  if (!peer.feeds.empty() && peer.shard_count > 0) {
+    return "sets both explicit feeds and sharding";
+  }
+  if (peer.replicas > 1 && peer.shard_count == 0) {
+    return "sets replicas without sharding";
+  }
+  if (peer.shard_count > 0 && peer.replicas > peer.shard_count) {
+    return "sets replicas above its shard count";
+  }
+  if (peer.failover == peer.name) return "names itself as failover";
+  if (peer.suspect_after && peer.down_after &&
+      *peer.down_after < *peer.suspect_after) {
+    return "sets down_after below suspect_after";
+  }
+  return "";
+}
+
+// ------------------------------------------------------- top-level blocks
+
+/// One top-level statement: `keyword [NAME] { ... }`.
+struct Statement {
+  BlockDoc doc;
+  std::function<Status(Cursor&, ServerConfig*)> parse;  // after the keyword
+  std::function<void(const ServerConfig&, std::string*)> format;
+};
+
+template <class S>
+using Check = std::string (*)(const S&);
+
+// Parses `NAME { ... }` into a new S appended to `out`; `prefix` is the
+// enclosing feed group's dotted name.
+template <class S>
+Status ParseNamed(Cursor& in, const std::vector<Key<S>>& keys,
+                  const std::string& keyword, std::string S::*name,
+                  std::type_identity_t<Check<S>> check, std::vector<S>* out,
+                  const std::string& prefix = "") {
+  const size_t at = in.Peek().offset;
+  S s;
+  BISTRO_ASSIGN_OR_RETURN(s.*name, in.Ident());
+  if (!prefix.empty()) s.*name = prefix + "." + s.*name;
+  const std::string label = keyword + " " + s.*name;
+  BISTRO_RETURN_IF_ERROR(syntax::ParseBody(in, keys, &s, label));
+  const std::string error = check ? check(s) : "";
+  if (!error.empty()) return in.ErrAt(at, label + " " + error);
+  out->push_back(std::move(s));
+  return Status::OK();
+}
+
+template <class S>
+void FormatNamed(const std::vector<Key<S>>& keys, const std::string& keyword,
+                 std::string S::*name, const std::vector<S>& list,
+                 std::string* out) {
+  for (const S& s : list) {
+    *out += keyword + " " + s.*name + " " + syntax::FormatBody(keys, s) + "\n";
+  }
+}
+
+template <class S>
+Statement Named(std::string keyword, std::vector<S> ServerConfig::*list,
+                std::string S::*name, const std::vector<Key<S>>* keys,
+                Check<S> check = nullptr) {
+  return Statement{
+      BlockDoc{keyword, true, syntax::Docs(*keys)},
+      [=](Cursor& in, ServerConfig* c) {
+        return ParseNamed(in, *keys, keyword, name, check, &(c->*list));
+      },
+      [=](const ServerConfig& c, std::string* out) {
+        FormatNamed(*keys, keyword, name, c.*list, out);
+      }};
+}
+
+// A singleton tuning block; every key is optional and repeats merge.
+template <class S>
+Statement Overlay(std::string keyword, S ServerConfig::*block,
+                  const std::vector<Key<S>>* keys) {
+  return Statement{
+      BlockDoc{keyword, false, syntax::Docs(*keys)},
+      [=](Cursor& in, ServerConfig* c) {
+        return syntax::ParseBody(in, *keys, &(c->*block), keyword);
+      },
+      [=](const ServerConfig& c, std::string* out) {
+        if (c.*block == S{}) return;
+        *out += keyword + " " + syntax::FormatBody(*keys, c.*block) + "\n";
+      }};
+}
+
+// `group NAME { ... }` is overloaded: a block of nested `feed`/`group`
+// definitions is a feed-hierarchy prefix; a block of subscriber-group keys
+// (`feeds`, `members`, ...) is a *subscriber group* — one shared delivery
+// identity fanned out to many member endpoints. Feed groups flatten into
+// dotted feed names. The cursor is at NAME.
+Status ParseGroup(Cursor& in, const std::string& prefix, ServerConfig* c) {
+  const Token& first = in.Peek(2);  // NAME { FIRST
+  for (const Key<GroupSpec>& key : kGroupKeys) {
+    if (first.kind != syntax::TokKind::kIdent || first.text != key.name) {
+      continue;
+    }
+    if (!prefix.empty()) {
+      return in.Err("subscriber group cannot be nested inside feed group " +
+                    prefix);
+    }
+    return ParseNamed(in, kGroupKeys, "group", &GroupSpec::name, CheckGroup,
+                      &c->groups);
+  }
+  BISTRO_ASSIGN_OR_RETURN(std::string name, in.Ident());
+  const std::string full = prefix.empty() ? name : prefix + "." + name;
+  BISTRO_RETURN_IF_ERROR(in.Expect("{"));
+  while (!in.Take("}")) {
+    if (in.Take("group")) {
+      BISTRO_RETURN_IF_ERROR(ParseGroup(in, full, c));
+    } else if (in.Take("feed")) {
+      BISTRO_RETURN_IF_ERROR(ParseNamed(in, kFeedKeys, "feed", &FeedSpec::name,
+                                        nullptr, &c->feeds, full));
+    } else {
+      return in.Err(in.AtEof() ? "unterminated group " + full
+                               : "expected 'group' or 'feed' inside group " +
+                                     full);
+    }
+  }
+  return Status::OK();
+}
+
+// Format order is table order.
+const std::vector<Statement> kStatements = {
+    Named("feed", &ServerConfig::feeds, &FeedSpec::name, &kFeedKeys),
+    Named("subscriber", &ServerConfig::subscribers, &SubscriberSpec::name,
+          &kSubscriberKeys),
+    Statement{BlockDoc{"group", true, syntax::Docs(kGroupKeys)},
+              [](Cursor& in, ServerConfig* c) { return ParseGroup(in, "", c); },
+              [](const ServerConfig& c, std::string* out) {
+                FormatNamed(kGroupKeys, "group", &GroupSpec::name, c.groups,
+                            out);
+              }},
+    Overlay("delivery", &ServerConfig::delivery, &kDeliveryKeys),
+    Overlay("ingest", &ServerConfig::ingest, &kIngestKeys),
+    Overlay("analyzer", &ServerConfig::analyzer, &kAnalyzerKeys),
+    Overlay("receipts", &ServerConfig::receipts, &kReceiptKeys),
+    Overlay("classifier", &ServerConfig::classifier, &kClassifierKeys),
+    Named("plan", &ServerConfig::plans, &PlanSpec::feed, &kPlanKeys,
+          CheckPlan),
+    Overlay("server", &ServerConfig::server, &kServerKeys),
+    Named("peer", &ServerConfig::peers, &PeerSpec::name, &kPeerKeys,
+          CheckPeer),
+    Named("relay", &ServerConfig::relays, &RelaySpec::name, &kRelayKeys),
+};
+
+// Checks that need the whole config. Deeper plan checks (unknown feeds,
+// route targets, replication vs the peer fleet) run in the plan compiler,
+// which sees the resolved registry.
+Status CheckConfig(const ServerConfig& config) {
+  std::set<std::string> peers, subscribers, groups, relays, plans;
+  for (const PeerSpec& peer : config.peers) peers.insert(peer.name);
+  for (const PeerSpec& peer : config.peers) {
+    if (!peer.failover.empty() && peers.count(peer.failover) == 0) {
+      return Status::InvalidArgument("peer " + peer.name +
+                                     " names unknown failover peer '" +
+                                     peer.failover + "'");
+    }
+  }
+  // Group/subscriber identities share one delivery namespace.
+  for (const SubscriberSpec& sub : config.subscribers) {
+    subscribers.insert(sub.name);
+  }
+  for (const GroupSpec& group : config.groups) {
+    if (subscribers.count(group.name) != 0) {
+      return Status::InvalidArgument("group " + group.name +
+                                     " is also a subscriber name");
+    }
+    if (!groups.insert(group.name).second) {
+      return Status::InvalidArgument("duplicate group: " + group.name);
+    }
+  }
+  for (const RelaySpec& relay : config.relays) {
+    if (!relays.insert(relay.name).second) {
+      return Status::InvalidArgument("duplicate relay: " + relay.name);
+    }
+  }
+  for (const PlanSpec& plan : config.plans) {
+    if (!plans.insert(plan.feed).second) {
+      return Status::InvalidArgument("duplicate plan for " + plan.feed);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<ServerConfig> ParseConfig(std::string_view text) {
-  Lexer lexer(text);
-  BISTRO_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Run());
-  Parser parser(std::move(tokens));
-  return parser.Run();
+  BISTRO_ASSIGN_OR_RETURN(Cursor in, Cursor::Lex(text, "config"));
+  ServerConfig config;
+  while (!in.AtEof()) {
+    const Statement* statement = nullptr;
+    for (const Statement& s : kStatements) {
+      if (in.Take(s.doc.keyword)) {
+        statement = &s;
+        break;
+      }
+    }
+    if (statement == nullptr) {
+      std::vector<std::string> keywords;
+      for (const Statement& s : kStatements) keywords.push_back(s.doc.keyword);
+      return in.Err("expected one of " + Join(keywords, ", "));
+    }
+    BISTRO_RETURN_IF_ERROR(statement->parse(in, &config));
+  }
+  BISTRO_RETURN_IF_ERROR(CheckConfig(config));
+  return config;
 }
 
 std::string FormatConfig(const ServerConfig& config) {
   std::string out;
-  for (const auto& feed : config.feeds) {
-    // Emit flat feeds with dotted names; groups are name prefixes, so the
-    // flat form is semantically identical to the nested form.
-    out += "feed " + feed.name + " {\n";
-    out += "  pattern " + Quote(feed.pattern) + ";\n";
-    for (const auto& alt : feed.alt_patterns) {
-      out += "  pattern " + Quote(alt) + ";\n";
-    }
-    if (!feed.normalize.rename_template.empty()) {
-      out += "  normalize " + Quote(feed.normalize.rename_template) + ";\n";
-    }
-    if (feed.normalize.action == CompressionAction::kCompress) {
-      out += "  compress " + std::string(CodecKindName(feed.normalize.codec)) +
-             ";\n";
-    } else if (feed.normalize.action == CompressionAction::kDecompress) {
-      out += "  decompress;\n";
-    }
-    if (feed.tardiness != kDefaultTardiness) {
-      out += "  tardiness " + DurationLiteral(feed.tardiness) + ";\n";
-    }
-    out += "}\n";
-  }
-  for (const auto& sub : config.subscribers) {
-    out += "subscriber " + sub.name + " {\n";
-    if (!sub.host.empty()) out += "  host " + Quote(sub.host) + ";\n";
-    if (!sub.destination.empty()) {
-      out += "  destination " + Quote(sub.destination) + ";\n";
-    }
-    out += "  feeds " + Join(sub.feeds, ", ") + ";\n";
-    out += std::string("  method ") +
-           (sub.method == DeliveryMethod::kPush ? "push" : "notify") + ";\n";
-    if (sub.window != 0) out += "  window " + DurationLiteral(sub.window) + ";\n";
-    const TriggerSpec& t = sub.trigger;
-    bool has_trigger = !t.command.empty() ||
-                       t.batch.mode != BatchSpec::Mode::kPerFile;
-    if (has_trigger) {
-      out += "  trigger ";
-      switch (t.batch.mode) {
-        case BatchSpec::Mode::kPerFile:
-          out += "file";
-          break;
-        case BatchSpec::Mode::kPunctuation:
-          out += "punctuation";
-          break;
-        case BatchSpec::Mode::kCount:
-          out += StrFormat("batch count %d", t.batch.count);
-          break;
-        case BatchSpec::Mode::kTime:
-          out += "batch timeout " + DurationLiteral(t.batch.timeout);
-          break;
-        case BatchSpec::Mode::kCountOrTime:
-          out += StrFormat("batch count %d timeout ", t.batch.count) +
-                 DurationLiteral(t.batch.timeout);
-          break;
-      }
-      if (!t.command.empty()) out += " exec " + Quote(t.command);
-      if (t.remote) out += " remote";
-      out += ";\n";
-    }
-    out += "}\n";
-  }
-  for (const GroupSpec& group : config.groups) {
-    out += "group " + group.name + " {\n";
-    out += "  feeds " + Join(group.feeds, ", ") + ";\n";
-    out += "  members " + Join(group.members, ", ") + ";\n";
-    if (group.window != 0) {
-      out += "  window " + DurationLiteral(group.window) + ";\n";
-    }
-    if (group.straggler_after) {
-      out += StrFormat("  straggler_after %d;\n", *group.straggler_after);
-    }
-    out += "}\n";
-  }
-  const DeliveryTuningSpec& d = config.delivery;
-  if (!d.empty()) {
-    out += "delivery {\n";
-    if (d.retry_backoff_min) {
-      out += "  retry_backoff_min " + DurationLiteral(*d.retry_backoff_min) +
-             ";\n";
-    }
-    if (d.retry_backoff_max) {
-      out += "  retry_backoff_max " + DurationLiteral(*d.retry_backoff_max) +
-             ";\n";
-    }
-    if (d.retry_multiplier) {
-      out += StrFormat("  retry_multiplier %g;\n", *d.retry_multiplier);
-    }
-    if (d.retry_jitter) {
-      out += std::string("  retry_jitter ") + (*d.retry_jitter ? "on" : "off") +
-             ";\n";
-    }
-    if (d.max_attempts) {
-      out += StrFormat("  max_attempts %d;\n", *d.max_attempts);
-    }
-    if (d.offline_after) {
-      out += StrFormat("  offline_after %d;\n", *d.offline_after);
-    }
-    if (d.probe_interval) {
-      out += "  probe_interval " + DurationLiteral(*d.probe_interval) + ";\n";
-    }
-    if (d.window) out += StrFormat("  window %d;\n", *d.window);
-    if (d.coalesce_bytes) {
-      out += StrFormat("  coalesce_bytes %lld;\n",
-                       (long long)*d.coalesce_bytes);
-    }
-    if (d.cache_bytes) {
-      out += StrFormat("  cache_bytes %lld;\n", (long long)*d.cache_bytes);
-    }
-    if (d.receipt_group) {
-      out += StrFormat("  receipt_group %d;\n", *d.receipt_group);
-    }
-    if (d.receipt_flush_interval) {
-      out += "  receipt_flush_interval " +
-             DurationLiteral(*d.receipt_flush_interval) + ";\n";
-    }
-    out += "}\n";
-  }
-  const IngestTuningSpec& g = config.ingest;
-  if (!g.empty()) {
-    out += "ingest {\n";
-    if (g.workers) out += StrFormat("  workers %d;\n", *g.workers);
-    if (g.queue_depth) out += StrFormat("  queue_depth %d;\n", *g.queue_depth);
-    if (g.batch) out += StrFormat("  batch %d;\n", *g.batch);
-    if (g.overload_policy) {
-      out += "  overload_policy " + *g.overload_policy + ";\n";
-    }
-    out += "}\n";
-  }
-  const AnalyzerTuningSpec& a = config.analyzer;
-  if (!a.empty()) {
-    out += "analyzer {\n";
-    if (a.workers) out += StrFormat("  workers %d;\n", *a.workers);
-    if (a.max_corpus) out += StrFormat("  max_corpus %d;\n", *a.max_corpus);
-    if (a.shards) out += StrFormat("  shards %d;\n", *a.shards);
-    if (a.cycle_interval) {
-      out += "  cycle_interval " + DurationLiteral(*a.cycle_interval) + ";\n";
-    }
-    out += "}\n";
-  }
-  const ReceiptTuningSpec& r = config.receipts;
-  if (!r.empty()) {
-    out += "receipts {\n";
-    if (r.shards) out += StrFormat("  shards %d;\n", *r.shards);
-    out += "}\n";
-  }
-  const ClassifierTuningSpec& cl = config.classifier;
-  if (!cl.empty()) {
-    out += "classifier {\n";
-    if (cl.mode) out += "  mode " + *cl.mode + ";\n";
-    out += "}\n";
-  }
-  for (const PlanSpec& plan : config.plans) {
-    out += "plan " + plan.feed + " {\n";
-    if (!plan.route.empty()) {
-      out += "  route " + Join(plan.route, ", ") + ";\n";
-    }
-    if (!plan.split.empty()) {
-      out += "  split ";
-      for (size_t i = 0; i < plan.split.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += StrFormat("%d to %s", plan.split[i].percent,
-                         plan.split[i].to.c_str());
-      }
-      out += ";\n";
-    }
-    if (plan.replicate) out += StrFormat("  replicate %d;\n", *plan.replicate);
-    if (plan.sample) out += StrFormat("  sample %g;\n", *plan.sample);
-    if (plan.transform) out += "  transform " + *plan.transform + ";\n";
-    if (plan.quota_files) {
-      out += StrFormat("  quota %lld per ", (long long)*plan.quota_files) +
-             DurationLiteral(plan.quota_interval) + ";\n";
-    }
-    if (plan.quota_bytes) {
-      out +=
-          StrFormat("  quota_bytes %lld per ", (long long)*plan.quota_bytes) +
-          DurationLiteral(plan.quota_interval) + ";\n";
-    }
-    if (plan.slo) out += "  slo " + *plan.slo + ";\n";
-    if (!plan.enrich.empty()) {
-      out += "  enrich " + Join(plan.enrich, ", ") + ";\n";
-    }
-    out += "}\n";
-  }
-  const ServerNetSpec& srv = config.server;
-  if (!srv.empty()) {
-    out += "server {\n";
-    if (!srv.listen.empty()) out += "  listen " + Quote(srv.listen) + ";\n";
-    if (srv.max_frame_bytes) {
-      out += StrFormat("  max_frame_bytes %lld;\n",
-                       (long long)*srv.max_frame_bytes);
-    }
-    if (srv.outbound_queue_bytes) {
-      out += StrFormat("  outbound_queue_bytes %lld;\n",
-                       (long long)*srv.outbound_queue_bytes);
-    }
-    if (srv.reconnect_backoff_min) {
-      out += "  reconnect_backoff_min " +
-             DurationLiteral(*srv.reconnect_backoff_min) + ";\n";
-    }
-    if (srv.reconnect_backoff_max) {
-      out += "  reconnect_backoff_max " +
-             DurationLiteral(*srv.reconnect_backoff_max) + ";\n";
-    }
-    if (srv.ack_timeout) {
-      out += "  ack_timeout " + DurationLiteral(*srv.ack_timeout) + ";\n";
-    }
-    out += "}\n";
-  }
-  for (const PeerSpec& peer : config.peers) {
-    out += "peer " + peer.name + " {\n";
-    out += "  address " + Quote(peer.address) + ";\n";
-    if (!peer.feeds.empty()) out += "  feeds " + Join(peer.feeds, ", ") + ";\n";
-    if (peer.shard_count > 0) {
-      out += StrFormat("  shard %d of %d;\n", peer.shard_index,
-                       peer.shard_count);
-    }
-    if (peer.replicas > 1) {
-      out += StrFormat("  replicas %d;\n", peer.replicas);
-    }
-    if (!peer.failover.empty()) out += "  failover " + peer.failover + ";\n";
-    if (peer.probe_interval) {
-      out += "  probe_interval " + DurationLiteral(*peer.probe_interval) +
-             ";\n";
-    }
-    if (peer.suspect_after) {
-      out += StrFormat("  suspect_after %d;\n", *peer.suspect_after);
-    }
-    if (peer.down_after) {
-      out += StrFormat("  down_after %d;\n", *peer.down_after);
-    }
-    if (peer.window != 0) {
-      out += "  window " + DurationLiteral(peer.window) + ";\n";
-    }
-    out += "}\n";
-  }
-  for (const RelaySpec& relay : config.relays) {
-    out += "relay " + relay.name + " {\n";
-    out += "  children " + Join(relay.children, ", ") + ";\n";
-    if (!relay.spool.empty()) out += "  spool " + Quote(relay.spool) + ";\n";
-    if (relay.retry_backoff) {
-      out += "  retry_backoff " + DurationLiteral(*relay.retry_backoff) + ";\n";
-    }
-    if (relay.max_attempts) {
-      out += StrFormat("  max_attempts %d;\n", *relay.max_attempts);
-    }
-    out += "}\n";
-  }
+  for (const Statement& s : kStatements) s.format(config, &out);
+  return out;
+}
+
+std::vector<syntax::BlockDoc> ConfigSchema() {
+  std::vector<syntax::BlockDoc> out;
+  for (const Statement& s : kStatements) out.push_back(s.doc);
   return out;
 }
 

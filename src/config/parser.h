@@ -2,52 +2,38 @@
 #define BISTRO_CONFIG_PARSER_H_
 
 #include <string_view>
+#include <vector>
 
+#include "common/syntax.h"
 #include "config/spec.h"
 
 namespace bistro {
 
-/// Parses the Bistro configuration language (paper §3.1).
+/// Parses the Bistro configuration language (paper §3.1): a sequence of
+/// `keyword [NAME] { key value; ... }` blocks.
 ///
-/// Grammar (informal):
+///   feed NAME { pattern "..."; ... }      group NAME { feed ...; group ...; }
+///   subscriber NAME { feeds A, B; ... }   group NAME { feeds ...; members ...; }
+///   plan SELECTOR { ... }  peer NAME { ... }  relay NAME { ... }
+///   delivery { }  ingest { }  analyzer { }  receipts { }  classifier { }
+///   server { }
 ///
-///   config      := (group | feed | subscriber
-///                   | delivery | ingest | analyzer)*
-///   group       := "group" NAME "{" (group | feed)* "}"
-///   feed        := "feed" NAME "{" feed_attr* "}"
-///   feed_attr   := "pattern" STRING ";"
-///                | "normalize" STRING ";"
-///                | "compress" ("none"|"rle"|"lz") ";"
-///                | "decompress" ";"
-///                | "tardiness" DURATION ";"
-///   subscriber  := "subscriber" NAME "{" sub_attr* "}"
-///   sub_attr    := "host" STRING ";"
-///                | "destination" STRING ";"
-///                | "feeds" NAME ("," NAME)* ";"
-///                | "method" ("push"|"notify") ";"
-///                | "window" DURATION ";"
-///                | "trigger" trigger_spec ";"
-///   trigger_spec:= ("file" | "punctuation"
-///                   | "batch" batch_opt+ ) ["exec" STRING] ["remote"]
-///   batch_opt   := "count" INT | "timeout" DURATION
-///   delivery    := "delivery" "{" (KEY VALUE ";")* "}"
-///   ingest      := "ingest" "{" (KEY VALUE ";")* "}"
-///   analyzer    := "analyzer" "{" (KEY VALUE ";")* "}"
-///
-/// The delivery/ingest/analyzer tuning blocks take flat KEY VALUE pairs;
-/// every key is optional and unset keys keep compiled-in defaults (the
-/// full key reference with defaults is docs/OPERATIONS.md).
-///
-/// NAME is dotted inside `feeds` lists ("SNMP.CPU"); `#` starts a
-/// line comment; strings are double-quoted with \" and \\ escapes.
-///
-/// Feed patterns are compiled during parsing so configuration errors are
-/// caught at load time, not at classification time.
+/// Each block's keys, their value syntax and bounds are declared once, in
+/// the key tables of parser.cc; ConfigSchema() exposes them and
+/// docs/OPERATIONS.md documents each. Tuning blocks are overlays: unset
+/// keys keep the engine's compiled-in defaults. A `group` holding feeds
+/// prefixes their names ("SNMP.CPU"); one holding `feeds`/`members` is a
+/// subscriber group. Feed patterns compile during parsing, so errors show
+/// at load time, with the line, column and a caret under the bad token.
 Result<ServerConfig> ParseConfig(std::string_view text);
 
 /// Serializes a config back to the configuration language (round-trips
-/// through ParseConfig). Useful for emitting analyzer-suggested configs.
+/// through ParseConfig). Feeds are written flat, with dotted names; unset
+/// keys are omitted. Useful for emitting analyzer-suggested configs.
 std::string FormatConfig(const ServerConfig& config);
+
+/// Every top-level block of the language and its keys, in format order.
+std::vector<syntax::BlockDoc> ConfigSchema();
 
 }  // namespace bistro
 

@@ -122,8 +122,6 @@ struct ReceiptTuningSpec {
   /// touched. 1 (default) = the seed's single-store layout, bit-compatible.
   std::optional<int> shards;
 
-  bool empty() const { return !shards; }
-
   bool operator==(const ReceiptTuningSpec&) const = default;
 };
 
@@ -133,8 +131,6 @@ struct ClassifierTuningSpec {
   /// "automaton" (default: the whole feed table compiled into one fused
   /// DFA), "trie" (literal-prefix index) or "linear" (scan every feed).
   std::optional<std::string> mode;
-
-  bool empty() const { return !mode; }
 
   bool operator==(const ClassifierTuningSpec&) const = default;
 };
@@ -163,13 +159,6 @@ struct DeliveryTuningSpec {
   /// Max time a buffered delivery receipt waits for its group to fill.
   std::optional<Duration> receipt_flush_interval;
 
-  bool empty() const {
-    return !retry_backoff_min && !retry_backoff_max && !retry_multiplier &&
-           !retry_jitter && !max_attempts && !offline_after &&
-           !probe_interval && !window && !coalesce_bytes && !cache_bytes &&
-           !receipt_group && !receipt_flush_interval;
-  }
-
   bool operator==(const DeliveryTuningSpec&) const = default;
 };
 
@@ -188,10 +177,6 @@ struct IngestTuningSpec {
   /// "block", "shed_oldest" or "spill" (validated at parse time).
   std::optional<std::string> overload_policy;
 
-  bool empty() const {
-    return !workers && !queue_depth && !batch && !overload_policy;
-  }
-
   bool operator==(const IngestTuningSpec&) const = default;
 };
 
@@ -209,10 +194,6 @@ struct AnalyzerTuningSpec {
   std::optional<int> shards;
   /// Analysis cycle cadence.
   std::optional<Duration> cycle_interval;
-
-  bool empty() const {
-    return !workers && !max_corpus && !shards && !cycle_interval;
-  }
 
   bool operator==(const AnalyzerTuningSpec&) const = default;
 };
@@ -235,11 +216,6 @@ struct ServerNetSpec {
   std::optional<Duration> reconnect_backoff_max;
   /// Unacked sends older than this fail and drop the connection.
   std::optional<Duration> ack_timeout;
-
-  bool empty() const {
-    return listen.empty() && !max_frame_bytes && !outbound_queue_bytes &&
-           !reconnect_backoff_min && !reconnect_backoff_max && !ack_timeout;
-  }
 
   bool operator==(const ServerNetSpec&) const = default;
 };

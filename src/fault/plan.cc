@@ -1,348 +1,175 @@
 #include "fault/plan.h"
 
-#include <cctype>
-
-#include "common/strings.h"
-
 namespace bistro {
 
 namespace {
 
-// Token stream sharing the config language's lexical shape: identifiers,
-// quoted strings, numbers with optional unit suffix, and {};, with '#'
-// comments. Kept separate from config/parser.cc because fault plans are a
-// test/ops artifact, not part of the server configuration.
-enum class TokKind { kIdent, kString, kNumber, kPunct, kEof };
+using syntax::Custom;
+using syntax::Cursor;
+using syntax::DurationLiteral;
+using syntax::Key;
+using syntax::Num;
+using syntax::Quote;
+using syntax::Statements;
 
-struct Token {
-  TokKind kind = TokKind::kEof;
-  std::string text;
-  int line = 0;
-};
-
-Result<std::vector<Token>> Lex(std::string_view src) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  int line = 1;
-  auto alpha = [](char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) != 0;
-  };
-  auto digit = [](char c) {
-    return std::isdigit(static_cast<unsigned char>(c)) != 0;
-  };
-  while (pos < src.size()) {
-    char c = src[pos];
-    if (c == '\n') {
-      ++line;
-      ++pos;
-    } else if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == '#') {
-      while (pos < src.size() && src[pos] != '\n') ++pos;
-    } else if (c == '"') {
-      ++pos;
-      std::string text;
-      while (pos < src.size() && src[pos] != '"' && src[pos] != '\n') {
-        text += src[pos++];
-      }
-      if (pos >= src.size() || src[pos] != '"') {
-        return Status::InvalidArgument(
-            StrFormat("fault plan line %d: unterminated string", line));
-      }
-      ++pos;
-      out.push_back(Token{TokKind::kString, std::move(text), line});
-    } else if (alpha(c) || c == '_') {
-      size_t start = pos;
-      while (pos < src.size() &&
-             (alpha(src[pos]) || digit(src[pos]) || src[pos] == '_')) {
-        ++pos;
-      }
-      out.push_back(
-          Token{TokKind::kIdent, std::string(src.substr(start, pos - start)),
-                line});
-    } else if (digit(c) || c == '.' || c == '-') {
-      size_t start = pos;
-      if (src[pos] == '-') ++pos;
-      while (pos < src.size() && (digit(src[pos]) || src[pos] == '.')) ++pos;
-      while (pos < src.size() && alpha(src[pos])) ++pos;  // unit suffix
-      out.push_back(
-          Token{TokKind::kNumber, std::string(src.substr(start, pos - start)),
-                line});
-    } else if (c == '{' || c == '}' || c == ';') {
-      out.push_back(Token{TokKind::kPunct, std::string(1, c), line});
-      ++pos;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("fault plan line %d: unexpected character '%c'", line, c));
-    }
-  }
-  out.push_back(Token{TokKind::kEof, "", line});
-  return out;
+// Reads `"a" "b"`: the two distinct ends of a link.
+Status ReadLink(Cursor& in, const std::string& verb, std::string* from,
+                std::string* to) {
+  const size_t at = in.Peek().offset;
+  BISTRO_ASSIGN_OR_RETURN(*from, in.String());
+  BISTRO_ASSIGN_OR_RETURN(*to, in.String());
+  if (*from == *to) return in.ErrAt(at, verb + " endpoints must differ");
+  return Status::OK();
 }
 
-class PlanParser {
- public:
-  explicit PlanParser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
-
-  Result<FaultPlan> Run() {
-    FaultPlan plan;
-    BISTRO_RETURN_IF_ERROR(ExpectIdent("fault_plan"));
-    BISTRO_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!IsPunct("}")) {
-      if (AtEof()) return Err("unterminated fault_plan");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, TakeIdent());
-      if (attr == "seed") {
-        BISTRO_ASSIGN_OR_RETURN(int64_t v, TakeInt());
-        plan.seed = static_cast<uint64_t>(v);
-        BISTRO_RETURN_IF_ERROR(ExpectPunct(";"));
-      } else if (attr == "vfs") {
-        BISTRO_RETURN_IF_ERROR(ParseVfs(&plan.vfs));
-      } else if (attr == "net") {
-        BISTRO_RETURN_IF_ERROR(ParseNet(&plan.net));
-      } else {
-        return Err("unknown fault_plan attribute '" + attr + "'");
-      }
-    }
-    ++pos_;  // consume '}'
-    if (!AtEof()) return Err("trailing input after fault_plan");
-    return plan;
+const char* Verb(LinkFault::Kind kind) {
+  switch (kind) {
+    case LinkFault::Kind::kPartition:
+      return "partition";
+    case LinkFault::Kind::kBlackhole:
+      return "blackhole";
+    case LinkFault::Kind::kSlowLink:
+      return "slow_link";
   }
+  return "?";
+}
 
- private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  bool AtEof() const { return Peek().kind == TokKind::kEof; }
-  bool IsPunct(std::string_view p) const {
-    return Peek().kind == TokKind::kPunct && Peek().text == p;
-  }
-
-  Status Err(const std::string& what) const {
-    return Status::InvalidArgument(
-        StrFormat("fault plan line %d: %s (got '%s')", Peek().line,
-                  what.c_str(), Peek().text.c_str()));
-  }
-
-  Status ExpectIdent(std::string_view word) {
-    if (Peek().kind != TokKind::kIdent || Peek().text != word) {
-      return Err("expected '" + std::string(word) + "'");
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  Status ExpectPunct(std::string_view p) {
-    if (!IsPunct(p)) return Err("expected '" + std::string(p) + "'");
-    ++pos_;
-    return Status::OK();
-  }
-
-  Result<std::string> TakeIdent() {
-    if (Peek().kind != TokKind::kIdent) return Err("expected identifier");
-    return tokens_[pos_++].text;
-  }
-
-  Result<std::string> TakeString() {
-    if (Peek().kind != TokKind::kString) return Err("expected quoted string");
-    return tokens_[pos_++].text;
-  }
-
-  Result<int64_t> TakeInt() {
-    if (Peek().kind != TokKind::kNumber) return Err("expected integer");
-    auto v = ParseInt(Peek().text);
-    if (!v) return Err("bad integer");
-    ++pos_;
-    return *v;
-  }
-
-  Result<double> TakeProb() {
-    if (Peek().kind != TokKind::kNumber) return Err("expected probability");
-    auto v = ParseDouble(Peek().text);
-    if (!v || *v < 0.0 || *v > 1.0) return Err("probability must be in [0,1]");
-    ++pos_;
-    return *v;
-  }
-
-  Result<double> TakeDouble() {
-    if (Peek().kind != TokKind::kNumber) return Err("expected number");
-    auto v = ParseDouble(Peek().text);
-    if (!v) return Err("bad number");
-    ++pos_;
-    return *v;
-  }
-
-  Result<Duration> TakeDuration() {
-    if (Peek().kind != TokKind::kNumber) return Err("expected duration");
-    auto v = ParseDuration(Peek().text);
-    if (!v) return Err("bad duration");
-    ++pos_;
-    return *v;
-  }
-
-  Status ParseVfs(VfsFaultSpec* vfs) {
-    BISTRO_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!IsPunct("}")) {
-      if (AtEof()) return Err("unterminated vfs block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, TakeIdent());
-      if (attr == "write_error") {
-        BISTRO_ASSIGN_OR_RETURN(vfs->write_error_prob, TakeProb());
-      } else if (attr == "torn_write") {
-        BISTRO_ASSIGN_OR_RETURN(vfs->torn_write_prob, TakeProb());
-      } else if (attr == "sync_error") {
-        BISTRO_ASSIGN_OR_RETURN(vfs->sync_error_prob, TakeProb());
-      } else if (attr == "scope") {
-        BISTRO_ASSIGN_OR_RETURN(vfs->scope, TakeString());
-      } else {
-        return Err("unknown vfs attribute '" + attr + "'");
-      }
-      BISTRO_RETURN_IF_ERROR(ExpectPunct(";"));
-    }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
-
-  Status ParseNet(NetFaultSpec* net) {
-    BISTRO_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!IsPunct("}")) {
-      if (AtEof()) return Err("unterminated net block");
-      BISTRO_ASSIGN_OR_RETURN(std::string attr, TakeIdent());
-      if (attr == "send_failure") {
-        BISTRO_ASSIGN_OR_RETURN(net->send_failure_prob, TakeProb());
-      } else if (attr == "corrupt") {
-        BISTRO_ASSIGN_OR_RETURN(net->corrupt_prob, TakeProb());
-      } else if (attr == "ack_loss") {
-        BISTRO_ASSIGN_OR_RETURN(net->ack_loss_prob, TakeProb());
-      } else if (attr == "flap") {
-        LinkFlap flap;
-        BISTRO_ASSIGN_OR_RETURN(flap.endpoint, TakeString());
-        BISTRO_RETURN_IF_ERROR(ExpectIdent("down"));
-        BISTRO_ASSIGN_OR_RETURN(flap.down_at, TakeDuration());
-        BISTRO_RETURN_IF_ERROR(ExpectIdent("up"));
-        BISTRO_ASSIGN_OR_RETURN(flap.up_at, TakeDuration());
-        if (flap.up_at <= flap.down_at) return Err("flap must heal after it fails");
-        net->flaps.push_back(std::move(flap));
-      } else if (attr == "degrade") {
-        LinkDegrade deg;
-        BISTRO_ASSIGN_OR_RETURN(deg.endpoint, TakeString());
-        BISTRO_ASSIGN_OR_RETURN(deg.factor, TakeDouble());
-        if (deg.factor < 1.0) return Err("degrade factor must be >= 1");
-        net->degrades.push_back(std::move(deg));
-      } else if (attr == "partition" || attr == "blackhole" ||
-                 attr == "slow_link") {
+// `partition|blackhole|slow_link "a" "b" [delay] at T`. All three append to
+// one list; the partition key formats every entry, with its own verb, so
+// the declared order survives a round trip.
+Key<NetFaultSpec> LinkFaultKey(LinkFault::Kind kind) {
+  const bool slow = kind == LinkFault::Kind::kSlowLink;
+  const std::string verb = Verb(kind);
+  Key<NetFaultSpec> key = Custom<NetFaultSpec>(
+      verb, slow ? "\"a\" \"b\" D at T" : "\"a\" \"b\" at T",
+      [kind, slow, verb](Cursor& in, NetFaultSpec& net) -> Status {
         LinkFault fault;
-        fault.kind = attr == "partition"   ? LinkFault::Kind::kPartition
-                     : attr == "blackhole" ? LinkFault::Kind::kBlackhole
-                                           : LinkFault::Kind::kSlowLink;
-        BISTRO_ASSIGN_OR_RETURN(fault.from, TakeString());
-        BISTRO_ASSIGN_OR_RETURN(fault.to, TakeString());
-        if (fault.from == fault.to) {
-          return Err(attr + " endpoints must differ");
+        fault.kind = kind;
+        BISTRO_RETURN_IF_ERROR(ReadLink(in, verb, &fault.from, &fault.to));
+        if (slow) {
+          const size_t at = in.Peek().offset;
+          BISTRO_ASSIGN_OR_RETURN(fault.delay, in.Dur());
+          if (fault.delay <= 0) {
+            return in.ErrAt(at, "slow_link delay must be positive");
+          }
         }
-        if (fault.kind == LinkFault::Kind::kSlowLink) {
-          BISTRO_ASSIGN_OR_RETURN(fault.delay, TakeDuration());
-          if (fault.delay <= 0) return Err("slow_link delay must be positive");
-        }
-        BISTRO_RETURN_IF_ERROR(ExpectIdent("at"));
-        BISTRO_ASSIGN_OR_RETURN(fault.at, TakeDuration());
-        net->link_faults.push_back(std::move(fault));
-      } else if (attr == "heal") {
-        LinkHeal heal;
-        BISTRO_ASSIGN_OR_RETURN(heal.from, TakeString());
-        BISTRO_ASSIGN_OR_RETURN(heal.to, TakeString());
-        if (heal.from == heal.to) return Err("heal endpoints must differ");
-        BISTRO_RETURN_IF_ERROR(ExpectIdent("at"));
-        BISTRO_ASSIGN_OR_RETURN(heal.at, TakeDuration());
-        net->link_heals.push_back(std::move(heal));
-      } else {
-        return Err("unknown net attribute '" + attr + "'");
+        BISTRO_RETURN_IF_ERROR(in.Expect("at"));
+        BISTRO_ASSIGN_OR_RETURN(fault.at, in.Dur());
+        net.link_faults.push_back(std::move(fault));
+        return Status::OK();
+      },
+      nullptr);
+  if (kind != LinkFault::Kind::kPartition) return key;
+  key.format = [](const NetFaultSpec& net, Statements* out) {
+    for (const LinkFault& f : net.link_faults) {
+      std::string s = std::string(Verb(f.kind)) + " " + Quote(f.from) + " " +
+                      Quote(f.to);
+      if (f.kind == LinkFault::Kind::kSlowLink) {
+        s += " " + DurationLiteral(f.delay);
       }
-      BISTRO_RETURN_IF_ERROR(ExpectPunct(";"));
+      out->push_back(s + " at " + DurationLiteral(f.at));
     }
-    ++pos_;  // consume '}'
-    return Status::OK();
-  }
+  };
+  return key;
+}
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+const std::vector<Key<VfsFaultSpec>> kVfsKeys = {
+    Num("write_error", &VfsFaultSpec::write_error_prob, 0, 1),
+    Num("torn_write", &VfsFaultSpec::torn_write_prob, 0, 1),
+    Num("sync_error", &VfsFaultSpec::sync_error_prob, 0, 1),
+    syntax::Str("scope", &VfsFaultSpec::scope),
 };
 
-std::string DurationLiteral(Duration d) {
-  if (d % kHour == 0 && d != 0) return StrFormat("%lldh", (long long)(d / kHour));
-  if (d % kMinute == 0 && d != 0) {
-    return StrFormat("%lldm", (long long)(d / kMinute));
-  }
-  if (d % kSecond == 0) return StrFormat("%llds", (long long)(d / kSecond));
-  if (d % kMillisecond == 0) {
-    return StrFormat("%lldms", (long long)(d / kMillisecond));
-  }
-  return StrFormat("%lldus", (long long)d);
-}
+const std::vector<Key<NetFaultSpec>> kNetKeys = {
+    Num("send_failure", &NetFaultSpec::send_failure_prob, 0, 1),
+    Num("corrupt", &NetFaultSpec::corrupt_prob, 0, 1),
+    Num("ack_loss", &NetFaultSpec::ack_loss_prob, 0, 1),
+    Custom<NetFaultSpec>(
+        "flap", "\"ep\" down T up T",
+        [](Cursor& in, NetFaultSpec& net) -> Status {
+          LinkFlap flap;
+          BISTRO_ASSIGN_OR_RETURN(flap.endpoint, in.String());
+          BISTRO_RETURN_IF_ERROR(in.Expect("down"));
+          BISTRO_ASSIGN_OR_RETURN(flap.down_at, in.Dur());
+          BISTRO_RETURN_IF_ERROR(in.Expect("up"));
+          const size_t at = in.Peek().offset;
+          BISTRO_ASSIGN_OR_RETURN(flap.up_at, in.Dur());
+          if (flap.up_at <= flap.down_at) {
+            return in.ErrAt(at, "flap must heal after it fails");
+          }
+          net.flaps.push_back(std::move(flap));
+          return Status::OK();
+        },
+        [](const NetFaultSpec& net, Statements* out) {
+          for (const LinkFlap& f : net.flaps) {
+            out->push_back("flap " + Quote(f.endpoint) + " down " +
+                           DurationLiteral(f.down_at) + " up " +
+                           DurationLiteral(f.up_at));
+          }
+        }),
+    Custom<NetFaultSpec>(
+        "degrade", "\"ep\" F (F ≥ 1)",
+        [](Cursor& in, NetFaultSpec& net) -> Status {
+          LinkDegrade deg;
+          BISTRO_ASSIGN_OR_RETURN(deg.endpoint, in.String());
+          const size_t at = in.Peek().offset;
+          BISTRO_ASSIGN_OR_RETURN(deg.factor, in.Number());
+          if (deg.factor < 1.0) {
+            return in.ErrAt(at, "degrade factor must be >= 1");
+          }
+          net.degrades.push_back(std::move(deg));
+          return Status::OK();
+        },
+        [](const NetFaultSpec& net, Statements* out) {
+          for (const LinkDegrade& d : net.degrades) {
+            out->push_back("degrade " + Quote(d.endpoint) + " " +
+                           syntax::FormatNumber(d.factor));
+          }
+        }),
+    LinkFaultKey(LinkFault::Kind::kPartition),
+    LinkFaultKey(LinkFault::Kind::kBlackhole),
+    LinkFaultKey(LinkFault::Kind::kSlowLink),
+    Custom<NetFaultSpec>(
+        "heal", "\"a\" \"b\" at T",
+        [](Cursor& in, NetFaultSpec& net) -> Status {
+          LinkHeal heal;
+          BISTRO_RETURN_IF_ERROR(ReadLink(in, "heal", &heal.from, &heal.to));
+          BISTRO_RETURN_IF_ERROR(in.Expect("at"));
+          BISTRO_ASSIGN_OR_RETURN(heal.at, in.Dur());
+          net.link_heals.push_back(std::move(heal));
+          return Status::OK();
+        },
+        [](const NetFaultSpec& net, Statements* out) {
+          for (const LinkHeal& h : net.link_heals) {
+            out->push_back("heal " + Quote(h.from) + " " + Quote(h.to) +
+                           " at " + DurationLiteral(h.at));
+          }
+        }),
+};
+
+const std::vector<Key<FaultPlan>> kPlanKeys = {
+    syntax::Int("seed", &FaultPlan::seed, 0),
+    syntax::Nested("vfs", &FaultPlan::vfs, &kVfsKeys),
+    syntax::Nested("net", &FaultPlan::net, &kNetKeys),
+};
 
 }  // namespace
 
 Result<FaultPlan> ParseFaultPlan(std::string_view text) {
-  BISTRO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
-  PlanParser parser(std::move(tokens));
-  return parser.Run();
+  BISTRO_ASSIGN_OR_RETURN(Cursor in, Cursor::Lex(text, "fault plan"));
+  FaultPlan plan;
+  BISTRO_RETURN_IF_ERROR(in.Expect("fault_plan"));
+  BISTRO_RETURN_IF_ERROR(syntax::ParseBody(in, kPlanKeys, &plan, "fault_plan"));
+  if (!in.AtEof()) return in.Err("trailing input after fault_plan");
+  return plan;
 }
 
 std::string FormatFaultPlan(const FaultPlan& plan) {
-  std::string out = "fault_plan {\n";
-  out += StrFormat("  seed %llu;\n", (unsigned long long)plan.seed);
-  const VfsFaultSpec& v = plan.vfs;
-  if (v != VfsFaultSpec{}) {
-    out += "  vfs {\n";
-    if (v.write_error_prob > 0) {
-      out += StrFormat("    write_error %g;\n", v.write_error_prob);
-    }
-    if (v.torn_write_prob > 0) {
-      out += StrFormat("    torn_write %g;\n", v.torn_write_prob);
-    }
-    if (v.sync_error_prob > 0) {
-      out += StrFormat("    sync_error %g;\n", v.sync_error_prob);
-    }
-    if (!v.scope.empty()) out += "    scope \"" + v.scope + "\";\n";
-    out += "  }\n";
-  }
-  const NetFaultSpec& n = plan.net;
-  if (n != NetFaultSpec{}) {
-    out += "  net {\n";
-    if (n.send_failure_prob > 0) {
-      out += StrFormat("    send_failure %g;\n", n.send_failure_prob);
-    }
-    if (n.corrupt_prob > 0) {
-      out += StrFormat("    corrupt %g;\n", n.corrupt_prob);
-    }
-    if (n.ack_loss_prob > 0) {
-      out += StrFormat("    ack_loss %g;\n", n.ack_loss_prob);
-    }
-    for (const LinkFlap& f : n.flaps) {
-      out += "    flap \"" + f.endpoint + "\" down " +
-             DurationLiteral(f.down_at) + " up " + DurationLiteral(f.up_at) +
-             ";\n";
-    }
-    for (const LinkDegrade& d : n.degrades) {
-      out += "    degrade \"" + d.endpoint + "\" " +
-             StrFormat("%g", d.factor) + ";\n";
-    }
-    for (const LinkFault& f : n.link_faults) {
-      const char* verb = f.kind == LinkFault::Kind::kPartition ? "partition"
-                         : f.kind == LinkFault::Kind::kBlackhole
-                             ? "blackhole"
-                             : "slow_link";
-      out += std::string("    ") + verb + " \"" + f.from + "\" \"" + f.to +
-             "\"";
-      if (f.kind == LinkFault::Kind::kSlowLink) {
-        out += " " + DurationLiteral(f.delay);
-      }
-      out += " at " + DurationLiteral(f.at) + ";\n";
-    }
-    for (const LinkHeal& h : n.link_heals) {
-      out += "    heal \"" + h.from + "\" \"" + h.to + "\" at " +
-             DurationLiteral(h.at) + ";\n";
-    }
-    out += "  }\n";
-  }
-  out += "}\n";
-  return out;
+  return "fault_plan " + syntax::FormatBody(kPlanKeys, plan) + "\n";
+}
+
+syntax::BlockDoc FaultPlanSchema() {
+  return syntax::BlockDoc{"fault_plan", false, syntax::Docs(kPlanKeys)};
 }
 
 }  // namespace bistro

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/syntax.h"
 #include "common/time.h"
 
 namespace bistro {
@@ -126,6 +127,9 @@ Result<FaultPlan> ParseFaultPlan(std::string_view text);
 
 /// Emits a plan in the syntax ParseFaultPlan accepts (round-trips).
 std::string FormatFaultPlan(const FaultPlan& plan);
+
+/// The `fault_plan { }` block's keys, as ParseFaultPlan declares them.
+syntax::BlockDoc FaultPlanSchema();
 
 }  // namespace bistro
 

@@ -99,6 +99,69 @@ TEST(ConfigParseTest, ErrorsCarryLineNumbers) {
       << config.status();
 }
 
+TEST(ConfigParseTest, ErrorsPointAtTheOffendingToken) {
+  auto config = ParseConfig("feed F {\n  pattern \"ok_%Y\";\n  bogus 7;\n}");
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().message(),
+            "config line 3:3: unknown key 'bogus' in feed F\n"
+            "    bogus 7;\n"
+            "    ^");
+  auto bound = ParseConfig("delivery { window -1; }");
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().message(),
+            "config line 1:19: window must be int \u2265 0\n"
+            "  delivery { window -1; }\n"
+            "                    ^");
+  auto missing = ParseConfig("feed F { tardiness 5s; }");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_TRUE(StartsWith(missing.status().message(),
+                         "config line 1:8: feed F has no pattern"))
+      << missing.status();
+}
+
+// Values the spec struct cannot hold, and negative durations, are refused
+// rather than wrapped or silently accepted.
+TEST(ConfigParseTest, RejectsValuesOutsideTheirDeclaredRange) {
+  EXPECT_FALSE(ParseConfig("ingest { workers 4294967296; }").ok());
+  EXPECT_FALSE(ParseConfig("feed F { pattern \"f_%i\"; tardiness -5s; }").ok());
+  EXPECT_FALSE(ParseConfig("delivery { probe_interval -1s; }").ok());
+  EXPECT_FALSE(ParseConfig("receipts { shards 257; }").ok());
+  EXPECT_TRUE(ParseConfig("receipts { shards 256; }").ok());
+  // Durations read inside hand-written value syntax are checked too.
+  auto timeout =
+      ParseConfig("subscriber s { feeds F; trigger batch timeout -5s; }");
+  ASSERT_FALSE(timeout.ok());
+  EXPECT_TRUE(StartsWith(timeout.status().message(),
+                         "config line 1:47: duration must not be negative"))
+      << timeout.status();
+  // A required key given an empty value is as good as missing.
+  EXPECT_FALSE(ParseConfig(R"(feed F { pattern ""; })").ok());
+  EXPECT_FALSE(ParseConfig(R"(peer p { address ""; })").ok());
+}
+
+// List keys accumulate: a second `feeds` line adds to the first rather
+// than replacing it, and the merged list round-trips as one line.
+TEST(ConfigParseTest, RepeatedListKeysAppend) {
+  auto config = ParseConfig(R"(
+subscriber s { feeds A; feeds B, C; }
+group g { feeds A; members m1; members m2; }
+relay r { children c1; children c2; }
+peer p { address "h:1"; feeds A; feeds B; }
+plan A { route s; route g; enrich provenance; enrich checksum; }
+)");
+  ASSERT_TRUE(config.ok()) << config.status();
+  using V = std::vector<std::string>;
+  EXPECT_EQ(config->subscribers[0].feeds, (V{"A", "B", "C"}));
+  EXPECT_EQ(config->groups[0].members, (V{"m1", "m2"}));
+  EXPECT_EQ(config->relays[0].children, (V{"c1", "c2"}));
+  EXPECT_EQ(config->peers[0].feeds, (V{"A", "B"}));
+  EXPECT_EQ(config->plans[0].route, (V{"s", "g"}));
+  EXPECT_EQ(config->plans[0].enrich, (V{"provenance", "checksum"}));
+  auto reparsed = ParseConfig(FormatConfig(*config));
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(*reparsed, *config);
+}
+
 TEST(ConfigParseTest, RejectsBadPatternAtParseTime) {
   auto config = ParseConfig(R"(feed F { pattern "bad_%q"; })");
   EXPECT_FALSE(config.ok());
@@ -215,7 +278,7 @@ analyzer {
   ASSERT_TRUE(partial.ok()) << partial.status();
   EXPECT_EQ(partial->analyzer.workers, 0);
   EXPECT_FALSE(partial->analyzer.max_corpus.has_value());
-  EXPECT_FALSE(partial->analyzer.empty());
+  EXPECT_NE(partial->analyzer, AnalyzerTuningSpec{});
 }
 
 TEST(ConfigParseTest, AnalyzerBlockRejectsBadValues) {
@@ -250,7 +313,7 @@ server {
   auto partial = ParseConfig(R"(server { listen "127.0.0.1:0"; })");
   ASSERT_TRUE(partial.ok()) << partial.status();
   EXPECT_FALSE(partial->server.max_frame_bytes.has_value());
-  EXPECT_FALSE(partial->server.empty());
+  EXPECT_NE(partial->server, ServerNetSpec{});
 }
 
 TEST(ConfigParseTest, ServerBlockRejectsBadValues) {

@@ -90,6 +90,21 @@ TEST(FaultPlanTest, RejectsBadInput) {
       ParseFaultPlan("fault_plan { net { degrade \"s\" 0.5; } }").ok());
   // Unknown attribute.
   EXPECT_FALSE(ParseFaultPlan("fault_plan { vfs { frobnicate 1; } }").ok());
+  EXPECT_FALSE(
+      ParseFaultPlan(R"(fault_plan { net { partition "a" "b" at -1s; } })")
+          .ok());
+  EXPECT_FALSE(
+      ParseFaultPlan(R"(fault_plan { net { flap "x" down -5s up 1s; } })")
+          .ok());
+}
+
+TEST(FaultPlanTest, ErrorsPointAtTheOffendingToken) {
+  auto plan = ParseFaultPlan("fault_plan {\n  vfs { write_error 1.5; }\n}");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().message(),
+            "fault plan line 2:21: write_error must be number in [0, 1]\n"
+            "    vfs { write_error 1.5; }\n"
+            "                      ^");
 }
 
 constexpr char kLinkPlan[] = R"(

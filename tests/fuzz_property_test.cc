@@ -1,5 +1,7 @@
 // Randomized property tests over the language layers:
-//  - generated configurations survive FormatConfig -> ParseConfig intact;
+//  - generated configurations survive FormatConfig -> ParseConfig intact,
+//    both built as structs and written as text from the declared key
+//    tables (fault plans too), and parse errors point at the bad key;
 //  - GeneralizeName always yields a compilable pattern that matches the
 //    input name;
 //  - random corpora rendered from random pattern templates are fully
@@ -8,6 +10,7 @@
 //    never yields corruption errors, only a consistent earlier state).
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "config/parser.h"
+#include "fault/plan.h"
 #include "kv/kvstore.h"
 #include "net/protocol.h"
 #include "net/stream.h"
@@ -116,6 +120,205 @@ TEST_P(ConfigFuzzTest, FormatParseRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConfigFuzzTest, ::testing::Range(1, 6));
+
+// ------------------------------------------------- schema-driven config fuzz
+
+// Valid literals for each value syntax the key tables declare, keyed by
+// the declared type string (config_docs_test pins those to the docs). A
+// choice ("a / b / c") needs no entry; any other new syntax does.
+const std::map<std::string, std::vector<std::string>> kLiterals = {
+    {"int ≥ 0", {"0", "7", "4096"}},
+    {"int ≥ 1", {"1", "8", "4097"}},
+    {"int in [1, 256]", {"1", "8", "256"}},
+    {"number ≥ 1", {"1", "3.5", "11"}},
+    {"number in [0, 1]", {"0", "0.25", "1"}},
+    {"number in (0, 100]", {"12.5", "25", "100"}},
+    {"duration ≥ 0", {"0s", "1500us", "250ms", "30s", "5m", "2h", "1d"}},
+    {"duration > 0", {"1500us", "250ms", "30s", "5m", "2h", "1d"}},
+    {"quoted string",
+     {"\"\"", "\"10.0.0.2:4400\"", "\"say \\\"hi\\\" \\\\ bye\""}},
+    {"quoted pattern", {"\"CPU_POLL%i_%Y%m%d%H%M.txt\"", "\"event_%s.log\""}},
+    {"ident list", {"A", "A.b, c_2"}},
+    {"list of provenance / checksum", {"provenance", "checksum, provenance"}},
+    {"flag", {""}},
+    {"peer name", {"west"}},
+    {"<i> of <n>", {"0 of 1", "1 of 4"}},
+    {"N [per <duration>]", {"1", "600 per 5m"}},
+    {"N to <id>, ...", {"100 to a", "30 to a, 70 to b"}},
+    {"(file / punctuation / batch [count N] [timeout D]) [exec \"cmd\"] "
+     "[remote]",
+     {"file", "punctuation exec \"refresh\"",
+      "batch count 4 timeout 2m exec \"load \\\"x\\\"\" remote",
+      "batch timeout 90s"}},
+    {"\"ep\" down T up T", {"\"sub0\" down 10m up 35m"}},
+    {"\"ep\" F (F ≥ 1)", {"\"sub1\" 4"}},
+    {"\"a\" \"b\" at T", {"\"up\" \"down\" at 2s"}},
+    {"\"a\" \"b\" D at T", {"\"up\" \"down\" 250ms at 0s"}},
+};
+
+std::vector<std::string> Literals(const syntax::KeyDoc& key) {
+  auto it = kLiterals.find(key.type);
+  if (it != kLiterals.end()) return it->second;
+  std::vector<std::string> words;
+  for (const std::string& word : Split(key.type, '/')) {
+    words.emplace_back(Trim(word));
+  }
+  for (const std::string& word : words) {
+    if (word.empty() || !std::all_of(word.begin(), word.end(), [](char c) {
+          return IsAlnum(c) || c == '_';
+        })) {
+      ADD_FAILURE() << "no literals for key '" << key.name << "' of type "
+                    << key.type;
+      return {};
+    }
+  }
+  return words;
+}
+
+// A random `{ ... }` body for a declared block: required keys always, other
+// keys with probability 1/2, each set to a literal of its declared syntax.
+std::string RandomBody(const std::vector<syntax::KeyDoc>& keys, Rng* rng) {
+  std::string out = "{\n";
+  for (const syntax::KeyDoc& key : keys) {
+    if (!key.alias_of.empty() || (!key.required && rng->Bernoulli(0.5))) {
+      continue;
+    }
+    if (key.block) {
+      out += "  " + key.name + " " + RandomBody(key.fields, rng) + "\n";
+      continue;
+    }
+    std::vector<std::string> values = Literals(key);
+    if (values.empty()) continue;
+    if (key.required) std::erase(values, "\"\"");
+    const std::string& v = values[rng->Uniform(values.size())];
+    out += "  " + key.name + (v.empty() ? "" : " " + v) + ";\n";
+  }
+  return out + "}";
+}
+
+// Zero to two instances of every top-level block ConfigSchema() declares.
+std::string RandomConfigText(Rng* rng) {
+  std::string text;
+  int serial = 0;
+  for (const syntax::BlockDoc& block : ConfigSchema()) {
+    const uint64_t count = rng->Uniform(block.named ? 3 : 2);
+    for (uint64_t i = 0; i < count; ++i) {
+      text += block.keyword;
+      if (block.named) text += " " + block.keyword + std::to_string(serial++);
+      text += " " + RandomBody(block.keys, rng) + "\n";
+    }
+  }
+  return text;
+}
+
+class SchemaFuzzTest : public ::testing::TestWithParam<int> {};
+
+// Generated text either fails validation (cross-key rules such as peer
+// routing, which the generator does not know) or parses, formats, and
+// parses back to the same config, with formatting a fixed point.
+TEST_P(SchemaFuzzTest, GeneratedConfigsRoundTrip) {
+  Rng rng(GetParam() * 7919);
+  int accepted = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::string text = RandomConfigText(&rng);
+    auto config = ParseConfig(text);
+    if (!config.ok()) {
+      EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << text;
+      continue;
+    }
+    ++accepted;
+    const std::string formatted = FormatConfig(*config);
+    auto reparsed = ParseConfig(formatted);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << formatted;
+    EXPECT_EQ(*reparsed, *config) << text << "\n---\n" << formatted;
+    EXPECT_EQ(FormatConfig(*reparsed), formatted);
+  }
+  EXPECT_GE(accepted, 20);
+}
+
+// Renaming any key of a valid generated config to an unknown one fails
+// with an error at that key's line and column.
+TEST_P(SchemaFuzzTest, UnknownKeyErrorPointsAtIt) {
+  Rng rng(GetParam() * 104729);
+  int checked = 0;
+  while (checked < 20) {
+    const std::string text = RandomConfigText(&rng);
+    if (!ParseConfig(text).ok()) continue;
+    std::vector<std::string> lines = Split(text, '\n');
+    std::vector<size_t> key_lines;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (StartsWith(lines[i], "  ")) key_lines.push_back(i);
+    }
+    if (key_lines.empty()) continue;
+    const size_t line = key_lines[rng.Uniform(key_lines.size())];
+    const std::string& key_line = lines[line];
+    lines[line] = "  bogus_key" + key_line.substr(key_line.find_first_of(" ;", 2));
+    auto broken = ParseConfig(Join(lines, "\n"));
+    ASSERT_FALSE(broken.ok());
+    // A subscriber group whose first key is unknown reads as a feed group,
+    // so only the location is the same for every block.
+    EXPECT_TRUE(StartsWith(broken.status().message(),
+                           StrFormat("config line %zu:3: ", line + 1)))
+        << broken.status().message();
+    ++checked;
+  }
+}
+
+// Operator text is outside input: byte-level damage to a valid config
+// either still parses or fails with a located InvalidArgument, never a
+// crash or an error without a position.
+TEST_P(SchemaFuzzTest, DamagedTextFailsWithALocatedError) {
+  Rng rng(GetParam() * 613);
+  static const char kBytes[] = "{};,\"\\#-.0a_ \n\t%";
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string text = RandomConfigText(&rng);
+    for (int edits = 1 + rng.Uniform(3); edits > 0 && !text.empty(); --edits) {
+      const size_t at = rng.Uniform(text.size());
+      switch (rng.Uniform(3)) {
+        case 0:
+          text.erase(at, 1 + rng.Uniform(8));
+          break;
+        case 1:
+          text.insert(at, 1, kBytes[rng.Uniform(sizeof(kBytes) - 1)]);
+          break;
+        default:
+          text[at] = static_cast<char>(rng.Uniform(256));
+          break;
+      }
+    }
+    auto config = ParseConfig(text);
+    if (config.ok()) {
+      EXPECT_TRUE(ParseConfig(FormatConfig(*config)).ok()) << text;
+      continue;
+    }
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+    const std::string& msg = config.status().message();
+    // Whole-config checks (duplicate names, failover targets) name
+    // blocks, not positions.
+    if (!StartsWith(msg, "config line ")) {
+      EXPECT_TRUE(msg.find("duplicate") != std::string::npos ||
+                  msg.find("failover") != std::string::npos ||
+                  msg.find("subscriber name") != std::string::npos)
+          << msg;
+    }
+  }
+}
+
+TEST_P(SchemaFuzzTest, GeneratedFaultPlansRoundTrip) {
+  Rng rng(GetParam() * 31);
+  for (int iter = 0; iter < 50; ++iter) {
+    const std::string text =
+        "fault_plan " + RandomBody(FaultPlanSchema().keys, &rng) + "\n";
+    auto plan = ParseFaultPlan(text);
+    ASSERT_TRUE(plan.ok()) << plan.status() << "\n" << text;
+    const std::string formatted = FormatFaultPlan(*plan);
+    auto reparsed = ParseFaultPlan(formatted);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << formatted;
+    EXPECT_EQ(*reparsed, *plan) << text << "\n---\n" << formatted;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchemaFuzzTest, ::testing::Range(1, 6));
 
 // -------------------------------------------------------- generalization
 
