@@ -7,7 +7,9 @@
 
 namespace bistro {
 
-/// CRC32 (IEEE polynomial, reflected). Used to frame WAL and codec records.
+/// CRC32 (IEEE polynomial, reflected), computed eight bytes per step
+/// (slicing-by-8). Frames WAL, checkpoint, codec and wire records, and
+/// checks payloads end to end. Chains: Crc32(b, Crc32(a)) == Crc32(a + b).
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 uint32_t Crc32(std::string_view s);
 

@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "common/hash.h"
@@ -36,9 +38,19 @@ int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 void PutString(std::string* out, std::string_view s) {
   PutVarint(out, s.size());
   out->append(s.data(), s.size());
+}
+
+size_t StringSize(std::string_view s) {
+  return VarintSize(s.size()) + s.size();
 }
 
 bool GetString(std::string_view* in, std::string* s) {
@@ -50,28 +62,42 @@ bool GetString(std::string_view* in, std::string* s) {
 }
 }  // namespace
 
+void AppendMessage(const Message& msg, std::string* out) {
+  const size_t body_len =
+      1 + VarintSize(msg.file_id) + StringSize(msg.feed) +
+      StringSize(msg.name) + StringSize(msg.dest_path) +
+      StringSize(msg.payload) + VarintSize(msg.payload_crc) +
+      VarintSize(ZigZag(msg.data_time)) + VarintSize(ZigZag(msg.batch_time)) +
+      VarintSize(msg.batch_count) + VarintSize(msg.net_seq) +
+      VarintSize(msg.ack_code);
+  const size_t need = VarintSize(body_len) + 4 + body_len;
+  if (out->capacity() - out->size() < need) {
+    out->reserve(std::max(out->size() + need, 2 * out->capacity()));
+  }
+  PutVarint(out, body_len);
+  const size_t crc_at = out->size();
+  out->append(4, '\0');  // patched below, once the body is in place
+  const size_t body_at = out->size();
+  out->push_back(static_cast<char>(msg.type));
+  PutVarint(out, msg.file_id);
+  PutString(out, msg.feed);
+  PutString(out, msg.name);
+  PutString(out, msg.dest_path);
+  PutString(out, msg.payload);
+  PutVarint(out, msg.payload_crc);
+  PutVarint(out, ZigZag(msg.data_time));
+  PutVarint(out, ZigZag(msg.batch_time));
+  PutVarint(out, msg.batch_count);
+  PutVarint(out, msg.net_seq);
+  PutVarint(out, msg.ack_code);
+  assert(out->size() - body_at == body_len && "body_len formula out of sync");
+  uint32_t crc = Crc32(out->data() + body_at, out->size() - body_at);
+  std::memcpy(out->data() + crc_at, &crc, 4);
+}
+
 std::string EncodeMessage(const Message& msg) {
-  std::string body;
-  body.push_back(static_cast<char>(msg.type));
-  PutVarint(&body, msg.file_id);
-  PutString(&body, msg.feed);
-  PutString(&body, msg.name);
-  PutString(&body, msg.dest_path);
-  PutString(&body, msg.payload);
-  PutVarint(&body, msg.payload_crc);
-  PutVarint(&body, ZigZag(msg.data_time));
-  PutVarint(&body, ZigZag(msg.batch_time));
-  PutVarint(&body, msg.batch_count);
-  PutVarint(&body, msg.net_seq);
-  PutVarint(&body, msg.ack_code);
   std::string out;
-  out.reserve(body.size() + 8);
-  PutVarint(&out, body.size());
-  uint32_t crc = Crc32(body);
-  char crc_buf[4];
-  std::memcpy(crc_buf, &crc, 4);
-  out.append(crc_buf, 4);
-  out += body;
+  AppendMessage(msg, &out);
   return out;
 }
 
@@ -123,7 +149,7 @@ Result<Message> DecodeMessage(std::string_view data, size_t max_frame_bytes) {
 std::string EncodeBundle(const std::vector<Message>& msgs) {
   std::string out;
   PutVarint(&out, msgs.size());
-  for (const Message& msg : msgs) out += EncodeMessage(msg);
+  for (const Message& msg : msgs) AppendMessage(msg, &out);
   return out;
 }
 

@@ -116,8 +116,14 @@ struct Message {
 /// rejected as corrupt before any allocation happens.
 inline constexpr size_t kDefaultMaxFrameBytes = 64u << 20;
 
-/// Serializes a message to a CRC-framed binary blob.
+/// Serializes a message to a CRC-framed binary blob: varint body length,
+/// 4-byte CRC32 of the body, body.
 std::string EncodeMessage(const Message& msg);
+
+/// Appends EncodeMessage(msg) to `out` in place: the frame is written
+/// straight into `out` and its CRC patched once the body is there, so
+/// building a bundle or a write burst copies no frame twice.
+void AppendMessage(const Message& msg, std::string* out);
 
 /// Parses a blob produced by EncodeMessage; verifies the CRC. Bodies
 /// larger than `max_frame_bytes` are rejected without allocating.

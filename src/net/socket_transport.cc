@@ -186,19 +186,15 @@ void SocketTransport::FailCallback(const SendCallback& done,
 
 void SocketTransport::SendLocal(Endpoint* ep, const Message& msg,
                                 SendCallback done) {
-  // Same round-trip through the wire encoding as LoopbackTransport, so
-  // the protocol layer is exercised even for in-process endpoints.
-  std::string wire = EncodeMessage(msg);
+  // In-process endpoints get a copy of the Message that aliases the
+  // sender's immutable payload buffer: no frame is built, so nothing is
+  // copied and max_frame_bytes (a bound on socket input) does not apply.
+  // The endpoint's payload_crc check is the one verification of the bytes.
   std::weak_ptr<bool> alive = alive_;
-  loop_->Post([this, alive, ep, wire = std::move(wire), done] {
+  loop_->Post([this, alive, ep, msg, done = std::move(done)] {
     auto self = alive.lock();
     if (self == nullptr || !*self) return;
-    auto decoded = DecodeMessage(wire, options_.max_frame_bytes);
-    if (!decoded.ok()) {
-      FailCallback(done, decoded.status());
-      return;
-    }
-    Status s = ep->HandleMessage(*decoded);
+    Status s = ep->HandleMessage(msg);
     CountOutcome(s);
     if (done) done(s);
   });
@@ -288,7 +284,7 @@ void SocketTransport::SendBundle(const std::string& endpoint,
     CountSend(item.msg.payload.size());
     Message framed = std::move(item.msg);
     framed.net_seq = peer.next_seq++;
-    burst += EncodeMessage(framed);
+    AppendMessage(framed, &burst);
     seqs.emplace_back(framed.net_seq, std::move(item.done));
   }
   if (conn->outq_bytes + burst.size() > options_.outbound_queue_bytes) {

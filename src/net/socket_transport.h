@@ -44,10 +44,12 @@ namespace bistro {
 /// messages sent while disconnected queue up to `outbound_queue_bytes`
 /// and flush on connect.
 ///
-/// Names registered with Register() are served in-process (loopback
-/// semantics), so one transport can carry a server's local subscribers
-/// and its federated peers at once; a name that is both registered and a
-/// peer resolves to the local endpoint.
+/// Names registered with Register() are served in-process, so one
+/// transport can carry a server's local subscribers and its federated
+/// peers at once; a name that is both registered and a peer resolves to
+/// the local endpoint. Local sends build no frame: the endpoint gets the
+/// Message itself, aliasing the sender's payload buffer, on a later loop
+/// turn.
 class SocketTransport : public Transport {
  public:
   struct Options {
@@ -55,8 +57,9 @@ class SocketTransport : public Transport {
     /// "0.0.0.0:4400", "localhost:0"); empty = outbound-only transport.
     /// Port 0 binds an ephemeral port (see listen_port()).
     std::string listen_address;
-    /// Per-frame body bound enforced on inbound bytes (see
+    /// Per-frame body bound enforced on inbound socket bytes (see
     /// kDefaultMaxFrameBytes); oversized claims drop the connection.
+    /// In-process endpoints are not bounded by it.
     size_t max_frame_bytes = kDefaultMaxFrameBytes;
     /// Cap on bytes queued toward one peer; sends over the cap fail
     /// immediately with Unavailable (backpressure surfaces to the
@@ -255,7 +258,7 @@ class SocketTransport : public Transport {
   void DropInbound(int fd);
   void DispatchInbound(Conn* conn, const Message& msg);
 
-  // Loopback path for locally registered endpoints.
+  // In-process path for locally registered endpoints (no frame).
   void SendLocal(Endpoint* ep, const Message& msg, SendCallback done);
 
   void FailCallback(const SendCallback& done, const Status& status);

@@ -64,7 +64,7 @@ std::optional<Message> MessageStreamDecoder::Next() {
 
 std::string EncodeMessageStream(const std::vector<Message>& messages) {
   std::string out;
-  for (const Message& msg : messages) out += EncodeMessage(msg);
+  for (const Message& msg : messages) AppendMessage(msg, &out);
   return out;
 }
 

@@ -2,6 +2,7 @@
 // hashing, RNG, thread pool, blocking queue.
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -192,6 +193,66 @@ TEST(HashTest, Crc32KnownVector) {
   // CRC32("123456789") == 0xCBF43926 is the canonical check value.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+}
+
+// Bytewise reference CRC32 (reflected IEEE polynomial, one bit at a
+// time): the oracle the table-driven Crc32 must match bit for bit.
+uint32_t ReferenceCrc32(const void* data, size_t n, uint32_t seed = 0) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(Rng* rng, size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng->Next() & 0xFF);
+  return s;
+}
+
+TEST(HashTest, Crc32MatchesBytewiseOracleAtEveryShortLength) {
+  Rng rng(41);
+  std::string bytes = RandomBytes(&rng, 64);
+  for (size_t len = 0; len <= 64; ++len) {
+    EXPECT_EQ(Crc32(bytes.data(), len), ReferenceCrc32(bytes.data(), len))
+        << "len " << len;
+  }
+  // All-ones and all-zeros bytes exercise every table lane's extremes.
+  for (char fill : {'\0', '\xFF'}) {
+    std::string flat(64, fill);
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(flat.data(), len), ReferenceCrc32(flat.data(), len));
+    }
+  }
+}
+
+TEST(HashTest, Crc32MatchesOracleAtRandomLengthsAndUnalignedStarts) {
+  Rng rng(42);
+  std::string bytes = RandomBytes(&rng, (256u << 10) + 8);
+  for (int trial = 0; trial < 40; ++trial) {
+    size_t len = rng.Uniform((256u << 10) + 1);
+    size_t offset = rng.Uniform(8);  // every start alignment mod 8
+    const char* p = bytes.data() + offset;
+    EXPECT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+        << "len " << len << " offset " << offset;
+  }
+}
+
+TEST(HashTest, Crc32ChainsThroughSeed) {
+  Rng rng(43);
+  std::string bytes = RandomBytes(&rng, 5000);
+  uint32_t whole = Crc32(bytes);
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{13},
+                     size_t{4096}, bytes.size()}) {
+    uint32_t head = Crc32(bytes.data(), cut);
+    EXPECT_EQ(Crc32(bytes.data() + cut, bytes.size() - cut, head), whole)
+        << "cut " << cut;
+    EXPECT_EQ(ReferenceCrc32(bytes.data() + cut, bytes.size() - cut, head),
+              whole);
+  }
 }
 
 TEST(HashTest, Fnv1aDistinct) {

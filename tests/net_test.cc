@@ -9,10 +9,14 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "net/socket_transport.h"
+#include "net/stream.h"
 #include "net/transport.h"
 #include "sim/event_loop.h"
 #include "vfs/memfs.h"
@@ -78,6 +82,99 @@ TEST(ProtocolTest, CorruptionDetected) {
       FAIL() << "corruption silently accepted at " << pos;
     }
   }
+}
+
+// Frames as the encoder has always written them (varint body length,
+// little-endian CRC32 of the body, body). Relay spools persist these
+// bytes and peers on other builds parse them, so any change is a format
+// change.
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+std::string ToHex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+Message GoldenFileData() {
+  Message msg;
+  msg.type = MessageType::kFileData;
+  msg.file_id = 12345;
+  msg.feed = "SNMP.CPU";
+  msg.name = "CPU_POLL1_201009250502.txt";
+  msg.dest_path = "SNMP.CPU/2010/09/25/CPU_POLL1_0502.txt";
+  msg.payload = "some,measurement,rows\n";
+  msg.payload_crc = Crc32("some,measurement,rows\n");
+  msg.data_time = 1285390920000000;
+  msg.batch_time = -42;
+  msg.batch_count = 3;
+  msg.net_seq = 300;
+  return msg;
+}
+
+Message GoldenAck() {
+  Message msg;
+  msg.type = MessageType::kAck;
+  msg.name = "bad";
+  msg.net_seq = 7;
+  msg.ack_code = 5;
+  return msg;
+}
+
+constexpr std::string_view kGoldenFileDataHex =
+    "77abada41c01b96008534e4d502e4350551a4350555f504f4c4c315f32303130303932"
+    "35303530322e74787426534e4d502e4350552f323031302f30392f32352f4350555f50"
+    "4f4c4c315f303530322e74787416736f6d652c6d6561737572656d656e742c726f7773"
+    "0aa38fb59f018088f9d2ccc3c8045303ac0200";
+constexpr std::string_view kGoldenAckHex =
+    "0fcb9df39b050000036261640000000000000705";
+
+TEST(ProtocolTest, FramesAreByteIdenticalToGolden) {
+  EXPECT_EQ(ToHex(EncodeMessage(GoldenFileData())), kGoldenFileDataHex);
+  EXPECT_EQ(ToHex(EncodeMessage(GoldenAck())), kGoldenAckHex);
+  std::string file_data = FromHex(kGoldenFileDataHex);
+  std::string ack = FromHex(kGoldenAckHex);
+  EXPECT_EQ(EncodeBundle({GoldenFileData(), GoldenAck()}),
+            std::string("\x02", 1) + file_data + ack);
+  EXPECT_EQ(EncodeBundle({}), std::string("\x00", 1));
+  EXPECT_EQ(EncodeMessageStream({GoldenAck(), GoldenFileData()}),
+            ack + file_data);
+  // Appending in place writes the same frame after existing bytes.
+  std::string appended = "prefix";
+  AppendMessage(GoldenAck(), &appended);
+  EXPECT_EQ(appended, "prefix" + ack);
+  auto decoded = DecodeMessage(file_data);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, GoldenFileData());
+}
+
+TEST(ProtocolTest, LargeFrameIsByteIdenticalToGolden) {
+  // 200,000 LCG bytes: the body length needs a 3-byte varint and the CRC
+  // runs over many 8-byte strides.
+  Message msg;
+  msg.type = MessageType::kFileData;
+  msg.file_id = 1;
+  std::string& payload = msg.payload.mutable_str();
+  uint32_t x = 1;
+  for (int i = 0; i < 200000; ++i) {
+    x = x * 1664525u + 1013904223u;
+    payload.push_back(static_cast<char>(x >> 24));
+  }
+  std::string frame = EncodeMessage(msg);
+  EXPECT_EQ(frame.size(), 200021u);
+  EXPECT_EQ(Crc32(frame), 0xc7aa8259u);
+  EXPECT_EQ(Fnv1a64(frame), 0xc01a524343f47d9bull);
 }
 
 TEST(ProtocolTest, TruncationDetected) {
@@ -425,6 +522,78 @@ TEST(SocketTransportTest, LocalEndpointWinsOverPeerName) {
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok()) << result;
   EXPECT_EQ(local.messages.size(), 1u);
+}
+
+// ------------------------------------------- in-process (local) delivery
+
+// Sends one message to a locally registered endpoint and runs the loop
+// until its callback fires.
+Status SendLocalAndWait(SocketTransport* transport, EventLoop* loop,
+                        const std::string& name, const Message& msg) {
+  bool done = false;
+  Status result;
+  transport->Send(name, msg, [&](const Status& s) {
+    result = s;
+    done = true;
+  });
+  PumpUntil(loop, [&] { return done; });
+  EXPECT_TRUE(done);
+  return result;
+}
+
+TEST(SocketTransportTest, LocalEndpointSeesSenderPayloadBuffer) {
+  EventLoop loop(RealClock::Get());
+  SocketTransport transport(&loop, {});
+  CollectingEndpoint local;
+  transport.Register("sub", &local);
+  Message msg = SampleMessage();
+  msg.payload = std::string(64 << 10, 'p');
+  msg.payload_crc = Crc32(msg.payload);
+  Status s = SendLocalAndWait(&transport, &loop, "sub", msg);
+  ASSERT_TRUE(s.ok()) << s;
+  ASSERT_EQ(local.messages.size(), 1u);
+  EXPECT_EQ(local.messages[0], msg);
+  // Same bytes, not a copy of them: no frame was built on the way.
+  EXPECT_EQ(local.messages[0].payload.view().data(), msg.payload.view().data());
+}
+
+TEST(SocketTransportTest, LocalSinkStillRefusesWrongPayloadCrc) {
+  EventLoop loop(RealClock::Get());
+  SocketTransport transport(&loop, {});
+  InMemoryFileSystem fs;
+  FileSinkEndpoint sink(&fs, "/dest");
+  transport.Register("sub", &sink);
+  Message msg = SampleMessage();
+  msg.payload_crc = Crc32(msg.payload) ^ 1;
+  Status s = SendLocalAndWait(&transport, &loop, "sub", msg);
+  EXPECT_TRUE(s.IsCorruption()) << s;
+  EXPECT_EQ(sink.corrupt_rejected(), 1u);
+  EXPECT_EQ(sink.files_received(), 0u);
+  msg.payload_crc = Crc32(msg.payload);
+  s = SendLocalAndWait(&transport, &loop, "sub", msg);
+  EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(sink.files_received(), 1u);
+}
+
+TEST(SocketTransportTest, LocalPayloadLargerThanMaxFrameBytesArrives) {
+  // max_frame_bytes bounds socket input; an in-process subscriber never
+  // sees a frame, so a large payload must not be refused on its way.
+  EventLoop loop(RealClock::Get());
+  SocketTransport::Options opts;
+  opts.max_frame_bytes = 1024;
+  SocketTransport transport(&loop, opts);
+  InMemoryFileSystem fs;
+  FileSinkEndpoint sink(&fs, "/dest");
+  transport.Register("sub", &sink);
+  Message msg = SampleMessage();
+  msg.payload = std::string(16 << 10, 'x');
+  msg.payload_crc = Crc32(msg.payload);
+  Status s = SendLocalAndWait(&transport, &loop, "sub", msg);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_EQ(sink.files_received(), 1u);
+  auto data = fs.ReadFile("/dest/" + msg.dest_path);
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(*data, msg.payload.str());
 }
 
 TEST(SocketTransportTest, QueueCapRejectsOversizedBacklog) {
