@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <unordered_map>
+
+#include "common/strings.h"
 
 namespace bistro {
 
@@ -15,21 +18,37 @@ struct NfaEdge {
   uint32_t target = 0;
 };
 
-struct NfaState {
+/// The whole table's NFA, stored flat: state s's edges are
+/// edges[first_edge[s], first_edge[s + 1]), in the order they were added.
+/// State 0 is the shared start. Its only transitions are epsilon edges to
+/// each pattern's first state (`starts`), and no edge leads back to it, so
+/// every other subset is already epsilon-closed.
+struct Nfa {
   std::vector<NfaEdge> edges;
-  std::vector<uint32_t> eps;
-  int32_t accept = -1;  // global pattern id, -1 = none
+  std::vector<uint32_t> first_edge;  // size() + 1 offsets into edges
+  std::vector<int32_t> accept;       // global pattern id, -1 = none
+  std::vector<uint32_t> starts;      // pattern id -> its first state
+
+  uint32_t size() const { return static_cast<uint32_t>(accept.size()); }
+
+  /// Pattern owning NFA state `s` (> 0): each pattern's states are
+  /// numbered consecutively from its start.
+  uint32_t PatternOf(uint32_t s) const {
+    return static_cast<uint32_t>(
+        std::upper_bound(starts.begin(), starts.end(), s) - starts.begin() -
+        1);
+  }
 };
 
 /// Lowers each pattern's token list to an NFA fragment hanging off the
 /// shared start state 0.
 class NfaBuilder {
  public:
-  NfaBuilder() { states.emplace_back(); }  // state 0 = start
+  NfaBuilder() { nfa_.accept.push_back(-1); }  // state 0 = start
 
   void AddPattern(const Pattern& pattern, int32_t pattern_id) {
     uint32_t cur = NewState();
-    states[0].eps.push_back(cur);
+    nfa_.starts.push_back(cur);
     for (const PatternToken& t : pattern.tokens()) {
       using Kind = PatternToken::Kind;
       switch (t.kind) {
@@ -75,18 +94,37 @@ class NfaBuilder {
           break;
       }
     }
-    states[cur].accept = pattern_id;
+    nfa_.accept[cur] = pattern_id;
   }
 
-  std::vector<NfaState> states;
+  /// Buckets the edges by source state. The counting sort is stable, so
+  /// each state keeps its edges in the order they were added.
+  Nfa Finish() && {
+    const uint32_t n = nfa_.size();
+    nfa_.first_edge.assign(n + 1, 0);
+    for (const RawEdge& e : raw_) ++nfa_.first_edge[e.from + 1];
+    for (uint32_t s = 0; s < n; ++s) {
+      nfa_.first_edge[s + 1] += nfa_.first_edge[s];
+    }
+    nfa_.edges.resize(raw_.size());
+    std::vector<uint32_t> fill(nfa_.first_edge.begin(),
+                               nfa_.first_edge.end() - 1);
+    for (const RawEdge& e : raw_) nfa_.edges[fill[e.from]++] = e.edge;
+    return std::move(nfa_);
+  }
 
  private:
+  struct RawEdge {
+    uint32_t from;
+    NfaEdge edge;
+  };
+
   uint32_t NewState() {
-    states.emplace_back();
-    return static_cast<uint32_t>(states.size() - 1);
+    nfa_.accept.push_back(-1);
+    return nfa_.size() - 1;
   }
   void Edge(uint32_t from, uint8_t lo, uint8_t hi, uint32_t to) {
-    states[from].edges.push_back({lo, hi, to});
+    raw_.push_back({from, {lo, hi, to}});
   }
   uint32_t ByteEdge(uint32_t cur, uint8_t c) {
     uint32_t n = NewState();
@@ -118,17 +156,94 @@ class NfaBuilder {
     }
     return out;
   }
+
+  Nfa nfa_;
+  std::vector<RawEdge> raw_;
 };
 
-struct VecHash {
-  size_t operator()(const std::vector<uint32_t>& v) const {
-    uint64_t h = 1469598103934665603ull;
-    for (uint32_t x : v) {
-      h ^= x;
-      h *= 1099511628211ull;
+/// The NFA subset behind each DFA state, all stored back to back in one
+/// arena and interned with no allocation per subset. Singletons — almost
+/// every state of a large table, since each pattern's literal suffix is
+/// its own chain — are found by direct index on their one NFA state; the
+/// rest go through an open-addressing table of DFA ids keyed by the
+/// subset's arena span.
+class SubsetTable {
+ public:
+  static constexpr uint32_t kNone = 0xFFFFFFFFu;
+
+  explicit SubsetTable(uint32_t nfa_states) : singleton_(nfa_states, kNone) {
+    offsets_.push_back(0);
+    slots_.assign(1024, kNone);
+  }
+
+  uint32_t size() const { return static_cast<uint32_t>(offsets_.size() - 1); }
+  size_t arena_size() const { return arena_.size(); }
+
+  const uint32_t* begin(uint32_t id) const {
+    return arena_.data() + offsets_[id];
+  }
+  const uint32_t* end(uint32_t id) const {
+    return arena_.data() + offsets_[id + 1];
+  }
+  uint32_t length(uint32_t id) const {
+    return offsets_[id + 1] - offsets_[id];
+  }
+
+  /// The DFA id of the sorted subset `set`, or kNone if it is new.
+  uint32_t Find(const std::vector<uint32_t>& set) const {
+    if (set.size() == 1) return singleton_[set[0]];
+    for (size_t i = Hash(set.data(), set.size()) & (slots_.size() - 1);;
+         i = (i + 1) & (slots_.size() - 1)) {
+      uint32_t id = slots_[i];
+      if (id == kNone) return kNone;
+      if (length(id) == set.size() &&
+          std::memcmp(begin(id), set.data(), set.size() * sizeof(uint32_t)) ==
+              0) {
+        return id;
+      }
+    }
+  }
+
+  /// Appends `set` (not yet present) as the next DFA id.
+  uint32_t Add(const std::vector<uint32_t>& set) {
+    if (set.size() > 1 && 2 * ++hashed_ > slots_.size()) Grow();
+    uint32_t id = size();
+    arena_.insert(arena_.end(), set.begin(), set.end());
+    offsets_.push_back(static_cast<uint32_t>(arena_.size()));
+    if (set.size() == 1) {
+      singleton_[set[0]] = id;
+    } else {
+      Place(id);
+    }
+    return id;
+  }
+
+ private:
+  static size_t Hash(const uint32_t* p, size_t n) {
+    uint64_t h = 0x9E3779B97F4A7C15ull ^ n;
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ p[i]) * 0xFF51AFD7ED558CCDull;
+      h ^= h >> 29;
     }
     return static_cast<size_t>(h);
   }
+  void Place(uint32_t id) {
+    size_t i = Hash(begin(id), length(id)) & (slots_.size() - 1);
+    while (slots_[i] != kNone) i = (i + 1) & (slots_.size() - 1);
+    slots_[i] = id;
+  }
+  void Grow() {
+    slots_.assign(slots_.size() * 2, kNone);
+    for (uint32_t id = 0; id < size(); ++id) {
+      if (length(id) != 1) Place(id);
+    }
+  }
+
+  std::vector<uint32_t> arena_;
+  std::vector<uint32_t> offsets_;    // size() + 1 offsets into arena_
+  std::vector<uint32_t> singleton_;  // NFA state -> DFA id of {state}
+  std::vector<uint32_t> slots_;      // open addressing over multi-member ids
+  uint32_t hashed_ = 0;              // multi-member subsets in slots_
 };
 
 struct IntVecHash {
@@ -142,9 +257,44 @@ struct IntVecHash {
   }
 };
 
+/// The compile-budget error: names the feeds whose patterns overlap in the
+/// largest subset built so far — the ones multiplying the state count.
+Status CompileBudgetError(const Nfa& nfa, const SubsetTable& subsets,
+                          uint32_t largest,
+                          const std::vector<uint32_t>& pattern_feed,
+                          const std::vector<FeedName>& feed_names) {
+  std::vector<uint32_t> patterns;
+  for (const uint32_t* s = subsets.begin(largest); s != subsets.end(largest);
+       ++s) {
+    if (*s != 0) patterns.push_back(nfa.PatternOf(*s));
+  }
+  patterns.erase(std::unique(patterns.begin(), patterns.end()),
+                 patterns.end());
+  std::vector<uint32_t> feeds;
+  for (uint32_t p : patterns) feeds.push_back(pattern_feed[p]);
+  feeds.erase(std::unique(feeds.begin(), feeds.end()), feeds.end());
+  constexpr size_t kNamed = 16;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < feeds.size() && i < kNamed; ++i) {
+    names.push_back(feed_names[feeds[i]]);
+  }
+  if (feeds.size() > kNamed) {
+    names.push_back(StrFormat("and %zu more", feeds.size() - kNamed));
+  }
+  std::string budget =
+      subsets.size() >= FeedAutomaton::kMaxDfaStates
+          ? StrFormat("%u DFA states", FeedAutomaton::kMaxDfaStates)
+          : StrFormat("%u subset entries", FeedAutomaton::kMaxSubsetEntries);
+  return Status::ResourceExhausted(StrFormat(
+      "feed table exceeds the classifier compile budget of %s; its largest "
+      "state overlaps %zu patterns of %zu feeds: %s",
+      budget.c_str(), patterns.size(), feeds.size(),
+      Join(names, ", ").c_str()));
+}
+
 }  // namespace
 
-std::shared_ptr<const FeedAutomaton> FeedAutomaton::Compile(
+Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
     const FeedRegistry& registry) {
   auto t0 = std::chrono::steady_clock::now();
   auto automaton = std::shared_ptr<FeedAutomaton>(new FeedAutomaton());
@@ -166,48 +316,38 @@ std::shared_ptr<const FeedAutomaton> FeedAutomaton::Compile(
     }
   }
 
-  NfaBuilder nfa;
+  NfaBuilder builder;
   for (size_t pid = 0; pid < a.patterns_.size(); ++pid) {
-    nfa.AddPattern(a.patterns_[pid], static_cast<int32_t>(pid));
+    builder.AddPattern(a.patterns_[pid], static_cast<int32_t>(pid));
   }
+  const Nfa nfa = std::move(builder).Finish();
 
   // Subset construction. The worklist is processed in creation order
   // (breadth-first from the root); the relayout pass below renumbers the
   // result depth-first for locality while the dense-row budget keeps
   // following this breadth-first discovery order.
-  std::unordered_map<std::vector<uint32_t>, uint32_t, VecHash> subset_ids;
-  std::vector<std::vector<uint32_t>> subsets;
+  SubsetTable subsets(nfa.size());
   std::unordered_map<std::vector<int32_t>, uint32_t, IntVecHash> accept_ids;
+  std::vector<int32_t> pats;
+  uint32_t largest = 0;  // id of the largest subset so far
 
-  std::vector<uint32_t> mark(nfa.states.size(), 0);
-  uint32_t epoch = 0;
-
-  // Expands `set` (members already marked with `epoch`) through epsilon
-  // edges and canonicalizes it.
-  auto close = [&](std::vector<uint32_t>* set) {
-    for (size_t i = 0; i < set->size(); ++i) {
-      for (uint32_t e : nfa.states[(*set)[i]].eps) {
-        if (mark[e] != epoch) {
-          mark[e] = epoch;
-          set->push_back(e);
-        }
-      }
+  // The DFA id of the sorted subset `set`, creating the state and its
+  // accept set if it is new; kNoState once a budget would be exceeded.
+  auto intern = [&](const std::vector<uint32_t>& set) {
+    uint32_t id = subsets.Find(set);
+    if (id != SubsetTable::kNone) return id;
+    if (subsets.size() >= kMaxDfaStates ||
+        subsets.arena_size() + set.size() > kMaxSubsetEntries) {
+      return kNoState;
     }
-    std::sort(set->begin(), set->end());
-  };
-
-  auto intern = [&](std::vector<uint32_t>&& set) {
-    auto it = subset_ids.find(set);
-    if (it != subset_ids.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(subsets.size());
-    subset_ids.emplace(set, id);
-    subsets.push_back(std::move(set));
+    id = subsets.Add(set);
+    if (set.size() > subsets.length(largest)) largest = id;
     a.states_.emplace_back();
     // Accept set: the pattern ids of accepting members, sorted = ordered
     // by (feed, primary-before-alt) thanks to the id assignment above.
-    std::vector<int32_t> pats;
-    for (uint32_t s : subsets[id]) {
-      if (nfa.states[s].accept >= 0) pats.push_back(nfa.states[s].accept);
+    pats.clear();
+    for (uint32_t s : set) {
+      if (nfa.accept[s] >= 0) pats.push_back(nfa.accept[s]);
     }
     if (!pats.empty()) {
       std::sort(pats.begin(), pats.end());
@@ -236,23 +376,26 @@ std::shared_ptr<const FeedAutomaton> FeedAutomaton::Compile(
     }
     return id;
   };
+  auto budget_error = [&] {
+    return CompileBudgetError(nfa, subsets, largest, pattern_feed,
+                              a.feed_names_);
+  };
 
-  {
-    ++epoch;
-    std::vector<uint32_t> start{0};
-    mark[0] = epoch;
-    close(&start);
-    intern(std::move(start));
-  }
+  // The start subset: state 0 plus its epsilon closure, every pattern's
+  // first state (already ascending).
+  std::vector<uint32_t> seed{0};
+  seed.insert(seed.end(), nfa.starts.begin(), nfa.starts.end());
+  if (intern(seed) == kNoState) return budget_error();
 
   std::vector<NfaEdge> edges;
   std::vector<int> bounds;
-  std::vector<uint32_t> seed;
+  std::vector<uint32_t> mark(nfa.size(), 0);
+  uint32_t epoch = 0;
   for (uint32_t id = 0; id < subsets.size(); ++id) {
     edges.clear();
-    for (uint32_t s : subsets[id]) {
-      const auto& es = nfa.states[s].edges;
-      edges.insert(edges.end(), es.begin(), es.end());
+    for (const uint32_t* s = subsets.begin(id); s != subsets.end(id); ++s) {
+      edges.insert(edges.end(), nfa.edges.begin() + nfa.first_edge[*s],
+                   nfa.edges.begin() + nfa.first_edge[*s + 1]);
     }
     // Split the byte axis at every edge boundary; within one segment the
     // active edge set — and so the successor subset — is constant.
@@ -277,8 +420,13 @@ std::shared_ptr<const FeedAutomaton> FeedAutomaton::Compile(
         }
       }
       if (seed.empty()) continue;
-      close(&seed);
-      uint32_t target = intern(std::vector<uint32_t>(seed));
+      // Members are visited in ascending order and almost every edge
+      // points forward, so the seed usually arrives sorted already.
+      if (!std::is_sorted(seed.begin(), seed.end())) {
+        std::sort(seed.begin(), seed.end());
+      }
+      uint32_t target = intern(seed);
+      if (target == kNoState) return budget_error();
       // Merge with the previous range when contiguous and same target.
       if (a.states_[id].num_ranges > 0) {
         Range& prev = a.ranges_.back();
@@ -364,7 +512,7 @@ std::shared_ptr<const FeedAutomaton> FeedAutomaton::Compile(
   auto t1 = std::chrono::steady_clock::now();
   AutomatonStats& st = a.stats_;
   st.patterns = a.patterns_.size();
-  st.nfa_states = nfa.states.size();
+  st.nfa_states = nfa.size();
   st.dfa_states = a.states_.size();
   st.dense_rows = a.dense_rows_.size();
   st.sparse_rows = a.states_.size() - a.dense_rows_.size();
@@ -383,7 +531,40 @@ std::shared_ptr<const FeedAutomaton> FeedAutomaton::Compile(
   }
   for (const FeedName& f : a.feed_names_) bytes += f.size() + sizeof(FeedName);
   st.memory_bytes = bytes;
-  return automaton;
+  return std::shared_ptr<const FeedAutomaton>(std::move(automaton));
+}
+
+uint64_t FeedAutomaton::TableDigest() const {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+      h ^= v & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const State& s : states_) {
+    mix(s.accept);
+    mix(s.first_range);
+    mix(s.num_ranges);
+    mix(static_cast<uint16_t>(s.dense));
+  }
+  for (const Range& r : ranges_) {
+    mix(r.lo);
+    mix(r.hi);
+    mix(r.target);
+  }
+  for (const auto& row : dense_rows_) {
+    for (uint32_t t : row) mix(t);
+  }
+  for (const AcceptSet& set : accept_sets_) {
+    mix(set.entries.size());
+    for (const AcceptEntry& e : set.entries) {
+      mix(e.feed);
+      mix(e.pattern);
+    }
+    mix(set.primary_pattern);
+  }
+  return h;
 }
 
 FeedAutomaton::ScanOutcome FeedAutomaton::Scan(std::string_view name) const {

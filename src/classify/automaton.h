@@ -63,8 +63,8 @@ struct AutomatonStats {
 /// shallowest states are the ones every scan walks through.
 ///
 /// An automaton is immutable once compiled and safe to share across
-/// threads; FeedClassifier swaps snapshots via an atomic shared_ptr
-/// (RCU-style) so ingest workers classify lock-free during rebuilds. It
+/// threads; FeedClassifier swaps snapshots behind a shared_ptr
+/// (RCU-style) so ingest workers keep classifying during rebuilds. It
 /// is also self-contained — patterns and feed names are copied in — so a
 /// stale snapshot never dangles into a registry that was revised after
 /// the compile.
@@ -104,9 +104,20 @@ class FeedAutomaton {
     bool verify = false;
   };
 
+  /// Compile budgets. Subset construction is exponential in the worst
+  /// case — "contains this id" tables (`%s_DEV<n>_%s`) multiply states
+  /// with every feed — so a table whose DFA would need more states, or
+  /// more NFA-state entries summed over all state subsets, is refused
+  /// instead of exhausting memory. E14's 10^5-pattern table needs ~711k
+  /// states; the 2,000-feed smallfile table ~59k.
+  static constexpr uint32_t kMaxDfaStates = 1u << 20;
+  static constexpr uint32_t kMaxSubsetEntries = 1u << 24;
+
   /// Compiles every feed in `registry` (primary + alternative patterns).
   /// The snapshot records registry.version() for lazy rebuild checks.
-  static std::shared_ptr<const FeedAutomaton> Compile(
+  /// ResourceExhausted, naming the feeds that overlap in the largest
+  /// state subset, when the table exceeds a compile budget.
+  static Result<std::shared_ptr<const FeedAutomaton>> Compile(
       const FeedRegistry& registry);
 
   /// Classifies `name` in one scan.
@@ -126,6 +137,11 @@ class FeedAutomaton {
   uint64_t version() const { return version_; }
 
   const AutomatonStats& stats() const { return stats_; }
+
+  /// FNV-1a digest of the compiled tables: states, ranges, dense rows and
+  /// accept entries. Equal digests mean a bit-identical automaton; tests
+  /// pin it to catch any change in state numbering or layout.
+  uint64_t TableDigest() const;
 
  private:
   static constexpr uint32_t kNoState = 0xFFFFFFFFu;

@@ -23,11 +23,20 @@ FeedClassifier::TrieNode* FeedClassifier::TrieNode::ChildOrNew(char c) {
 
 FeedClassifier::FeedClassifier(const FeedRegistry* registry, IndexMode mode)
     : registry_(registry), mode_(mode) {
-  Rebuild();
+  if (!Rebuild().ok()) failed_version_ = registry_->version();
 }
 
-void FeedClassifier::RebuildAutomatonLocked() const {
-  std::shared_ptr<const FeedAutomaton> fresh = FeedAutomaton::Compile(*registry_);
+Status FeedClassifier::RebuildAutomatonLocked() const {
+  auto compiled = FeedAutomaton::Compile(*registry_);
+  compile_status_ = compiled.status();
+  if (!compiled.ok()) {
+    if (compile_failures_metric_ != nullptr) {
+      compile_failures_metric_->Increment();
+    }
+    return compile_status_;
+  }
+  failed_version_.reset();
+  std::shared_ptr<const FeedAutomaton> fresh = std::move(compiled).value();
   if (rebuilds_metric_ != nullptr) {
     const AutomatonStats& s = fresh->stats();
     rebuilds_metric_->Increment();
@@ -36,27 +45,39 @@ void FeedClassifier::RebuildAutomatonLocked() const {
     memory_metric_->Set(static_cast<int64_t>(s.memory_bytes));
     compile_metric_->Record(static_cast<int64_t>(s.compile_micros));
   }
-  snapshot_.store(std::move(fresh), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_.swap(fresh);
+  }
+  return Status::OK();  // the previous table is freed here, unlocked
 }
 
-void FeedClassifier::Rebuild() {
+Status FeedClassifier::Rebuild() {
   if (mode_ == IndexMode::kAutomaton) {
     std::lock_guard<std::mutex> lock(rebuild_mu_);
-    RebuildAutomatonLocked();
-    return;
+    return RebuildAutomatonLocked();
   }
   root_ = std::make_unique<TrieNode>();
-  if (mode_ != IndexMode::kPrefixIndex) return;
+  if (mode_ != IndexMode::kPrefixIndex) return Status::OK();
   for (const RegisteredFeed* feed : registry_->feeds()) {
     Insert(feed, &feed->pattern);
     for (const Pattern& alt : feed->alts) Insert(feed, &alt);
   }
+  return Status::OK();
+}
+
+Status FeedClassifier::compile_status() const {
+  std::lock_guard<std::mutex> lock(rebuild_mu_);
+  return compile_status_;
 }
 
 void FeedClassifier::AttachMetrics(MetricsRegistry* metrics) {
   rebuilds_metric_ = metrics->GetCounter(
       "bistro_classifier_rebuilds_total",
       "Feed-table automaton recompilations (feed revisions)");
+  compile_failures_metric_ = metrics->GetCounter(
+      "bistro_classifier_compile_failures_total",
+      "Feed-table compiles refused for exceeding the automaton budget");
   states_metric_ = metrics->GetGauge("bistro_classifier_dfa_states",
                                      "DFA states in the compiled feed table");
   accept_sets_metric_ =
@@ -174,20 +195,24 @@ Classification FeedClassifier::ClassifyAutomaton(
 Classification FeedClassifier::Classify(const std::string& name) const {
   if (mode_ == IndexMode::kAutomaton) {
     std::shared_ptr<const FeedAutomaton> snap =
-        snapshot_.load(std::memory_order_acquire);
+        automaton();
     if (snap == nullptr || snap->version() != registry_->version()) {
       // Lazy rebuild off the registry version bump (the
       // SubscriptionIndex idiom). Serialized so concurrent detections
-      // compile once; losers re-read the fresh snapshot.
+      // compile once; losers re-read the fresh snapshot. A version whose
+      // table failed to compile keeps the previous snapshot.
       std::lock_guard<std::mutex> lock(rebuild_mu_);
-      snap = snapshot_.load(std::memory_order_acquire);
-      if (snap == nullptr || snap->version() != registry_->version()) {
-        RebuildAutomatonLocked();
-        snap = snapshot_.load(std::memory_order_acquire);
+      snap = automaton();
+      const uint64_t version = registry_->version();
+      if ((snap == nullptr || snap->version() != version) &&
+          failed_version_ != version) {
+        if (!RebuildAutomatonLocked().ok()) failed_version_ = version;
+        snap = automaton();
       }
     }
     files_.fetch_add(1, std::memory_order_relaxed);
-    Classification result = ClassifyAutomaton(*snap, name);
+    Classification result =
+        snap != nullptr ? ClassifyAutomaton(*snap, name) : Classification{};
     (result.matched() ? matched_ : unmatched_)
         .fetch_add(1, std::memory_order_relaxed);
     return result;
@@ -202,9 +227,10 @@ Classification FeedClassifier::Classify(const std::string& name) const {
 Classification FeedClassifier::ClassifySnapshot(const std::string& name) const {
   if (mode_ != IndexMode::kAutomaton) return Classify(name);
   std::shared_ptr<const FeedAutomaton> snap =
-      snapshot_.load(std::memory_order_acquire);
+      automaton();
   files_.fetch_add(1, std::memory_order_relaxed);
-  Classification result = ClassifyAutomaton(*snap, name);
+  Classification result =
+      snap != nullptr ? ClassifyAutomaton(*snap, name) : Classification{};
   (result.matched() ? matched_ : unmatched_)
       .fetch_add(1, std::memory_order_relaxed);
   return result;

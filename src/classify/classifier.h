@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,13 +45,14 @@ struct ClassifierStats {
 ///    DFA (classify/automaton.h). One scan of the name yields every
 ///    matching feed; per-file cost is independent of the table size.
 ///
-/// Concurrency: in kAutomaton mode the compiled table lives behind an
-/// atomic shared_ptr snapshot. Classify reads the current snapshot and,
+/// Concurrency: in kAutomaton mode the compiled table lives behind a
+/// shared_ptr snapshot. Classify reads the current snapshot and,
 /// if the registry version moved, rebuilds lazily (serialized by an
 /// internal mutex) — the SubscriptionIndex idiom. ClassifySnapshot never
 /// rebuilds: it classifies against whatever snapshot is current, so
-/// ingest workers run it with no lock at all while Rebuild swaps a new
-/// snapshot in underneath them. Registry *mutations* must still be
+/// ingest workers never wait for a compile while Rebuild swaps a new
+/// snapshot in underneath them (the only lock they take guards the
+/// shared_ptr copy itself). Registry *mutations* must still be
 /// serialized against rebuilds by the caller (the ingest pipeline's
 /// defs_mu_ does this), because compiling reads the registry.
 /// In the legacy trie/linear modes Classify is const and thread-safe but
@@ -71,17 +73,26 @@ class FeedClassifier {
   Classification Classify(const std::string& name) const;
 
   /// kAutomaton: classifies against the current snapshot without any
-  /// staleness check or lock — the ingest workers' lock-free path; the
-  /// loop thread refreshes the snapshot via Rebuild after revisions.
+  /// staleness check — the ingest workers' path, which never waits for a
+  /// compile; the loop thread refreshes the snapshot via Rebuild after
+  /// revisions.
   /// Other modes: identical to Classify.
   Classification ClassifySnapshot(const std::string& name) const;
 
   /// Rebuilds the index after feed definitions change. kAutomaton:
   /// compiles a new snapshot and atomically swaps it in — concurrent
-  /// ClassifySnapshot calls keep using the old one until the swap.
+  /// ClassifySnapshot calls keep using the old one until the swap. A
+  /// table over FeedAutomaton's compile budget returns ResourceExhausted
+  /// and leaves the previous snapshot in place.
   /// Trie/linear: NOT safe against concurrent Classify; callers
   /// serialize (IngestPipeline holds its defs_mu_ exclusively here).
-  void Rebuild();
+  Status Rebuild();
+
+  /// Outcome of the latest automaton compile (OK in other modes). The
+  /// constructor compiles once; BistroServer::Create refuses a config
+  /// whose feed table fails here. Until a compile succeeds, classifying
+  /// against no snapshot matches nothing.
+  Status compile_status() const;
 
   /// Registers compile/size gauges and rebuild counters with `metrics`
   /// (idempotent metric names; call once at server startup).
@@ -91,7 +102,8 @@ class FeedClassifier {
   /// Admin/introspection surface — holds the tables alive independently
   /// of any concurrent rebuild.
   std::shared_ptr<const FeedAutomaton> automaton() const {
-    return snapshot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    return snapshot_;
   }
 
   ClassifierStats stats() const {
@@ -132,19 +144,31 @@ class FeedClassifier {
   Classification ClassifyCandidates(const std::string& name) const;
   Classification ClassifyAutomaton(const FeedAutomaton& automaton,
                                    const std::string& name) const;
-  /// Compiles a fresh snapshot from the registry and swaps it in.
-  void RebuildAutomatonLocked() const;
+  /// Compiles a fresh snapshot from the registry and swaps it in; on a
+  /// compile error the current snapshot stays.
+  Status RebuildAutomatonLocked() const;
 
   const FeedRegistry* registry_;
   IndexMode mode_;
   std::unique_ptr<TrieNode> root_;
 
   /// kAutomaton state: RCU-style snapshot + rebuild serialization.
-  mutable std::atomic<std::shared_ptr<const FeedAutomaton>> snapshot_;
+  /// snapshot_mu_ is held only to copy or swap the pointer, never across
+  /// a compile. (libstdc++'s atomic<shared_ptr> takes a spin lock for
+  /// the same copy, and its load releases that lock without release
+  /// ordering, which ThreadSanitizer reports as a race with the swap.)
+  mutable std::mutex snapshot_mu_;
+  mutable std::shared_ptr<const FeedAutomaton> snapshot_;
   mutable std::mutex rebuild_mu_;
+  /// Guarded by rebuild_mu_: the latest compile's outcome, and the
+  /// registry version whose table failed to compile, so the lazy path
+  /// does not retry a doomed compile on every Classify.
+  mutable Status compile_status_;
+  mutable std::optional<uint64_t> failed_version_;
 
   /// Metrics (optional; see AttachMetrics).
   Counter* rebuilds_metric_ = nullptr;
+  Counter* compile_failures_metric_ = nullptr;
   Gauge* states_metric_ = nullptr;
   Gauge* accept_sets_metric_ = nullptr;
   Gauge* memory_metric_ = nullptr;

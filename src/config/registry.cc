@@ -1,6 +1,7 @@
 #include "config/registry.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/strings.h"
@@ -37,14 +38,14 @@ Result<std::unique_ptr<FeedRegistry>> FeedRegistry::Create(
     BISTRO_ASSIGN_OR_RETURN(RegisteredFeed feed, CompileFeed(spec));
     registry->feeds_.emplace(spec.name, std::move(feed));
   }
-  // A feed name must not also denote a group (ambiguous expansion).
+  // A feed name must not also denote a group (ambiguous expansion). The
+  // map is sorted, so the first name under "<name>." is its only candidate.
   for (const auto& [name, _] : registry->feeds_) {
-    for (const auto& [other, __] : registry->feeds_) {
-      if (IsPrefixGroup(name, other)) {
-        return Status::InvalidArgument("feed '" + name +
-                                       "' is also a group prefix of '" +
-                                       other + "'");
-      }
+    auto it = registry->feeds_.lower_bound(name + ".");
+    if (it != registry->feeds_.end() && IsPrefixGroup(name, it->first)) {
+      return Status::InvalidArgument("feed '" + name +
+                                     "' is also a group prefix of '" +
+                                     it->first + "'");
     }
   }
   std::set<SubscriberName> sub_names;
@@ -123,11 +124,28 @@ std::vector<const SubscriberSpec*> FeedRegistry::SubscribersOf(
   return out;
 }
 
-Status FeedRegistry::UpdateFeed(const FeedSpec& spec) {
+Status FeedRegistry::UpdateFeed(const FeedSpec& spec,
+                                const std::function<Status()>& check) {
   BISTRO_ASSIGN_OR_RETURN(RegisteredFeed feed, CompileFeed(spec));
-  feeds_.insert_or_assign(spec.name, std::move(feed));
+  std::optional<RegisteredFeed> previous;
+  auto it = feeds_.find(spec.name);
+  if (it != feeds_.end()) {
+    previous = std::move(it->second);
+    it->second = std::move(feed);
+  } else {
+    it = feeds_.emplace(spec.name, std::move(feed)).first;
+  }
   ++version_;
-  return Status::OK();
+  Status status = check ? check() : Status::OK();
+  if (!status.ok()) {
+    if (previous) {
+      it->second = std::move(*previous);
+    } else {
+      feeds_.erase(it);
+    }
+    --version_;
+  }
+  return status;
 }
 
 Status FeedRegistry::AddSubscriber(const SubscriberSpec& spec) {

@@ -1,6 +1,7 @@
 #ifndef BISTRO_CONFIG_REGISTRY_H_
 #define BISTRO_CONFIG_REGISTRY_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,13 +75,21 @@ class FeedRegistry {
   uint64_t subscriber_scans() const { return subscriber_scans_; }
 
   /// Monotone mutation counter: bumped by every UpdateFeed /
-  /// AddSubscriber / UpdateSubscriber. Derived structures (the
+  /// AddSubscriber / UpdateSubscriber (an UpdateFeed whose check fails
+  /// leaves it unchanged). Derived structures (the
   /// subscription index) compare it to rebuild lazily instead of
   /// hooking every mutation site.
   uint64_t version() const { return version_; }
 
   /// Adds or replaces a feed definition (analyzer-approved revision).
-  Status UpdateFeed(const FeedSpec& spec);
+  /// `check`, if given, runs on the revised registry before the revision
+  /// stands; if it fails, the previous definition and version() are
+  /// restored and its error returned. The version is reused, so the
+  /// caller must keep every other reader of the registry out while
+  /// `check` runs (BistroServer::ReviseFeed holds the ingest pipeline's
+  /// definitions lock and rebuilds the classifier in `check`).
+  Status UpdateFeed(const FeedSpec& spec,
+                    const std::function<Status()>& check = {});
 
   /// Adds a subscriber at runtime (new subscribers can appear at any
   /// moment and expect history backfill, paper §4.2).

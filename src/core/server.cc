@@ -118,6 +118,8 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
   }
   server->classifier_ = std::make_unique<FeedClassifier>(
       server->registry_.get(), classifier_mode);
+  BISTRO_RETURN_IF_ERROR(
+      server->classifier_->compile_status().WithContext("feed table"));
   server->classifier_->AttachMetrics(server->metrics_);
   if (scheduler == nullptr) {
     PartitionedScheduler::Options sched_opts;
@@ -321,8 +323,12 @@ Status BistroServer::AddSubscriber(const SubscriberSpec& spec) {
 }
 
 Status BistroServer::ReviseFeed(const FeedSpec& spec) {
-  BISTRO_RETURN_IF_ERROR(registry_->UpdateFeed(spec));
-  pipeline_->RebuildClassifier();
+  // The classifier recompiles before the revision stands: a definition
+  // that breaks the compile budget is refused, and the previous
+  // definition and table stay in place.
+  BISTRO_RETURN_IF_ERROR(pipeline_->ReviseDefinitions([&] {
+    return registry_->UpdateFeed(spec, [&] { return classifier_->Rebuild(); });
+  }));
   logger_->Info("admin", "feed definition revised: " + spec.name);
   delivery_->BackfillFeed(spec.name);
   return Status::OK();

@@ -129,11 +129,11 @@ void IngestPipeline::Start() {
 
 Classification IngestPipeline::ClassifyLocked(const std::string& name) {
   // Automaton mode classifies against an immutable snapshot the worker
-  // grabs with one atomic load — no lock at all, so a concurrent
-  // RebuildClassifier (which compiles a new snapshot and swaps it in)
+  // grabs with one pointer copy — no definitions lock, so a concurrent
+  // ReviseDefinitions (which compiles a new snapshot and swaps it in)
   // never stalls the ingest path. Other modes walk registry-owned
   // pattern objects, so they still need the shared side of the
-  // definitions lock against RebuildClassifier's exclusive side.
+  // definitions lock against the exclusive side ReviseDefinitions takes.
   if (classifier_->mode() == FeedClassifier::IndexMode::kAutomaton) {
     return classifier_->ClassifySnapshot(name);
   }
@@ -322,7 +322,7 @@ Status IngestPipeline::StageItem(Item* item) {
   const FeedPlan* fp = nullptr;
   {
     // Shared: many workers may read feed definitions concurrently; feed
-    // revision (RebuildClassifier) takes the exclusive side. The
+    // revision (ReviseDefinitions) takes the exclusive side. The
     // normalizer is copied out so compression runs without the lock.
     std::shared_lock<std::shared_mutex> lock(defs_mu_);
     const RegisteredFeed* primary = registry_->FindFeed(item->c.feeds.front());
@@ -539,9 +539,10 @@ void IngestPipeline::Shutdown() {
   idle_cv_.notify_all();
 }
 
-void IngestPipeline::RebuildClassifier() {
+Status IngestPipeline::ReviseDefinitions(
+    const std::function<Status()>& revise) {
   std::unique_lock<std::shared_mutex> lock(defs_mu_);
-  classifier_->Rebuild();
+  return revise();
 }
 
 IngestStats IngestPipeline::stats() const {

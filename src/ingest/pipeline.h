@@ -173,9 +173,11 @@ class IngestPipeline {
   /// files already in the receipt queue are still committed.
   void Shutdown();
 
-  /// Rebuilds the classifier under the pipeline's definition lock (feed
-  /// revision must not race in-flight classification/normalization).
-  void RebuildClassifier();
+  /// Runs `revise` — a feed-definition change plus the classifier rebuild
+  /// it needs — under the pipeline's definitions lock, held exclusively:
+  /// a revision must not race in-flight classification/normalization.
+  /// Returns what `revise` returns.
+  Status ReviseDefinitions(const std::function<Status()>& revise);
 
   bool threaded() const { return options_.workers > 0; }
   const Options& options() const { return options_; }
@@ -239,7 +241,7 @@ class IngestPipeline {
   ErrorCallback on_error_;
 
   /// Guards feed definitions: the worker's registry/normalizer reads
-  /// take it shared, RebuildClassifier takes it exclusive. Classification
+  /// take it shared, ReviseDefinitions takes it exclusive. Classification
   /// takes the shared side only in linear/trie modes, which probe
   /// registry-owned Pattern objects; automaton mode classifies against an
   /// immutable shared_ptr snapshot (ClassifySnapshot) and skips this lock

@@ -297,5 +297,65 @@ feed BETA  { pattern "beta_%s_%Y%m%d.csv"; }
   EXPECT_FALSE(classifier.ClassifySnapshot("gamma_9.log").matched());
 }
 
+// Adversarial tables: "contains this id" patterns make subset construction
+// exponential. 25 of them must be refused by the compile budget — with an
+// error naming the feeds — instead of exhausting memory.
+TEST(ClassifyFuzzTest, ContainsIdTableIsRefusedByCompileBudget) {
+  std::string config;
+  for (int i = 0; i < 25; ++i) {
+    config += StrFormat("feed DEV%02d { pattern \"%%s_DEV%d_%%s\"; }\n", i, i);
+  }
+  auto parsed = ParseConfig(config);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto registry = FeedRegistry::Create(*parsed);
+  ASSERT_TRUE(registry.ok()) << registry.status();
+
+  MetricsRegistry metrics;
+  FeedClassifier classifier((*registry).get());
+  classifier.AttachMetrics(&metrics);
+  Status status = classifier.compile_status();
+  ASSERT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  EXPECT_NE(status.message().find("compile budget"), std::string::npos);
+  EXPECT_NE(status.message().find("DEV00"), std::string::npos) << status;
+  EXPECT_EQ(classifier.automaton(), nullptr);
+
+  // Without a table nothing matches. The failed registry version is not
+  // recompiled on every call: a recompile would now count a failure.
+  EXPECT_FALSE(classifier.Classify("x_DEV3_y").matched());
+  EXPECT_FALSE(classifier.ClassifySnapshot("x_DEV3_y").matched());
+  EXPECT_EQ(metrics.GetCounter("bistro_classifier_compile_failures_total", "")
+                ->value(),
+            0u);
+}
+
+// The budget leaves room for the large benign tables of E14: 10^5
+// distinct-prefix patterns (~711k states) and 1,000 prefixless ones,
+// whose every state carries all 1,000 %s loops.
+TEST(ClassifyFuzzTest, LargeTablesCompileWithinBudget) {
+  struct Table {
+    int feeds;
+    const char* pattern;  // StrFormat'd with the feed index
+    uint64_t dfa_states;
+  };
+  const Table tables[] = {{100000, "m%05d_%%i.csv", 711112},
+                          {1000, "%%s_POLL%%i_f%04d.csv", 5121}};
+  for (const Table& t : tables) {
+    SCOPED_TRACE(t.pattern);
+    ServerConfig config;
+    for (int i = 0; i < t.feeds; ++i) {
+      FeedSpec spec;
+      spec.name = StrFormat("F%05d", i);
+      spec.pattern = StrFormat(t.pattern, i);
+      config.feeds.push_back(std::move(spec));
+    }
+    auto registry = FeedRegistry::Create(config);
+    ASSERT_TRUE(registry.ok()) << registry.status();
+    auto compiled = FeedAutomaton::Compile(**registry);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    EXPECT_EQ((*compiled)->stats().dfa_states, t.dfa_states);
+    EXPECT_LT((*compiled)->stats().dfa_states, FeedAutomaton::kMaxDfaStates);
+  }
+}
+
 }  // namespace
 }  // namespace bistro

@@ -273,5 +273,104 @@ TEST(ClassifierTest, AutomatonStatsAreExposed) {
   EXPECT_EQ(snapshot->feed_count(), 4u);
 }
 
+// Golden compiled tables. The expected values were captured from the
+// construction that used per-subset vectors and a hash map keyed by them;
+// the arena-based construction must reproduce its DFA bit for bit: the
+// same state numbering, ranges, dense rows and accept sets.
+
+// 2,000 SNMP-style feeds, every fourth led by a %i sequence number.
+std::string SmallfileTable() {
+  std::string text = "group SNMP {\n";
+  for (int f = 0; f < 2000; ++f) {
+    int metric = f / 40, poller = f % 40 + 1;
+    std::string pattern =
+        StrFormat("METRIC%02d_POLL%d_%%Y%%m%%d%%H%%M.dat", metric, poller);
+    if (f % 4 == 3) pattern = "%i_" + pattern;
+    text += StrFormat("  feed M%02dP%02d { pattern \"%s\"; }\n", metric,
+                      poller, pattern.c_str());
+  }
+  return text + "}\n";
+}
+
+// 200 history feeds with distinct literal prefixes.
+std::string BackfillTable() {
+  std::string text = "group HIST {\n";
+  for (int k = 0; k < 200; ++k) {
+    text += StrFormat(
+        "  feed H%03d { pattern \"H%03d_POLL%%i_%%Y%%m%%d%%H%%M.csv\"; }\n", k,
+        k);
+  }
+  return text + "}\n";
+}
+
+// %s and %i loops, every time field, %% literals, alternates and a
+// catch-all that overlaps other feeds.
+std::string MixedTable() {
+  std::string text;
+  for (int i = 0; i < 36; ++i) {
+    switch (i % 6) {
+      case 0:
+        text += StrFormat(
+            "feed LOG%02d { pattern \"LOG%02d_%%s_%%Y%%m%%d.txt\"; }\n", i, i);
+        break;
+      case 1:
+        text += StrFormat(
+            "feed DEV%02d { pattern \"%%s_DEV%02d_%%i_%%m%%d.csv\"; }\n", i, i);
+        break;
+      case 2:
+        text += StrFormat(
+            "feed APP%02d { pattern \"APP%02d_%%i_%%s.%%y%%m%%d%%H%%M.gz\"; "
+            "pattern \"APP%02d-%%i.%%Y%%m%%d\"; }\n",
+            i, i, i);
+        break;
+      case 3:
+        text += StrFormat(
+            "feed REC%02d { pattern \"%%i_REC%02d_%%Y%%m%%d%%H%%M.dat\"; }\n", i,
+            i);
+        break;
+      case 4:
+        text += StrFormat(
+            "feed X%02d { pattern \"X%02d_%%s_%%s_%%d.log\"; }\n", i, i);
+        break;
+      case 5:
+        text += StrFormat(
+            "feed T%02d { pattern "
+            "\"T%02d_%%Y-%%m-%%d_%%H:%%M:%%S_%%i%%%%.csv\"; }\n",
+            i, i);
+        break;
+    }
+  }
+  return text + "feed ANY_TXT { pattern \"%s.txt\"; }\n";
+}
+
+TEST(ClassifierTest, CompiledTablesMatchGolden) {
+  struct Golden {
+    const char* name;
+    std::string table;
+    uint64_t dfa_states;
+    uint64_t nfa_states;
+    uint64_t accept_sets;
+    uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"smallfile", SmallfileTable(), 58775, 88551, 2000,
+       0xba2954e268159defull},
+      {"backfill", BackfillTable(), 7024, 7801, 200, 0xdab5d7d3a90e89e7ull},
+      {"mixed", MixedTable(), 3761, 1237, 43, 0x61bc3d55b2f7221dull},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    auto registry = MustRegistry(g.table);
+    auto compiled = FeedAutomaton::Compile(*registry);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    const FeedAutomaton& automaton = **compiled;
+    EXPECT_EQ(automaton.stats().dfa_states, g.dfa_states);
+    EXPECT_EQ(automaton.stats().nfa_states, g.nfa_states);
+    EXPECT_EQ(automaton.stats().accept_sets, g.accept_sets);
+    EXPECT_EQ(automaton.TableDigest(), g.digest)
+        << std::hex << "0x" << automaton.TableDigest();
+  }
+}
+
 }  // namespace
 }  // namespace bistro

@@ -551,6 +551,53 @@ group SNMP { feed CPU { pattern "b_%i"; } }
   EXPECT_FALSE(FeedRegistry::Create(*config).ok());
 }
 
+TEST(RegistryTest, GroupPrefixCheckNamesBothFeeds) {
+  auto config = ParseConfig(R"(
+group A {
+  feed B { pattern "b_%i"; }
+  feed BC { pattern "bc_%i"; }
+}
+group A.B { feed C { pattern "c_%i"; } }
+)");
+  ASSERT_TRUE(config.ok()) << config.status();
+  auto registry = FeedRegistry::Create(*config);
+  ASSERT_FALSE(registry.ok());
+  EXPECT_EQ(registry.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.status().message(),
+            "feed 'A.B' is also a group prefix of 'A.B.C'");
+}
+
+TEST(RegistryTest, GroupPrefixRespectsDotBoundary) {
+  // "A.BC" merely starts with "A.B"; it is not under a group named A.B.
+  auto registry = MustRegistry(R"(
+group A {
+  feed B { pattern "b_%i"; }
+  feed BC { pattern "bc_%i"; }
+  feed B_C { pattern "b_c_%i"; }
+}
+)");
+  EXPECT_EQ(registry->feeds().size(), 3u);
+}
+
+TEST(RegistryTest, CreatesLargeFeedTable) {
+  // 20,000 feeds in 200 groups: the group-prefix check probes the sorted
+  // map once per feed rather than comparing every pair.
+  std::string text;
+  for (int g = 0; g < 200; ++g) {
+    text += StrFormat("group G%03d {\n", g);
+    for (int f = 0; f < 100; ++f) {
+      text += StrFormat("  feed F%03d { pattern \"g%03d_f%03d_%%i\"; }\n", f,
+                        g, f);
+    }
+    text += "}\n";
+  }
+  auto config = ParseConfig(text);
+  ASSERT_TRUE(config.ok()) << config.status();
+  auto registry = FeedRegistry::Create(*config);
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  EXPECT_EQ((*registry)->feeds().size(), 20000u);
+}
+
 TEST(RegistryTest, RejectsUnknownSubscription) {
   auto config = ParseConfig(R"(
 feed F { pattern "a_%i"; }
@@ -568,6 +615,33 @@ TEST(RegistryTest, UpdateFeedReplacesPattern) {
   ASSERT_TRUE(registry->UpdateFeed(revised).ok());
   EXPECT_FALSE(registry->FindFeed("F")->pattern.Matches("old_1"));
   EXPECT_TRUE(registry->FindFeed("F")->pattern.Matches("new_1"));
+}
+
+TEST(RegistryTest, UpdateFeedRollsBackWhenCheckFails) {
+  auto registry = MustRegistry(R"(feed F { pattern "old_%i"; })");
+  const uint64_t version = registry->version();
+  auto refuse = [] { return Status::ResourceExhausted("no"); };
+  FeedSpec revised = registry->FindFeed("F")->spec;
+  revised.pattern = "new_%i";
+  EXPECT_EQ(registry->UpdateFeed(revised, refuse).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(registry->FindFeed("F")->pattern.Matches("old_1"));
+  FeedSpec added = revised;
+  added.name = "G";
+  EXPECT_FALSE(registry->UpdateFeed(added, refuse).ok());
+  EXPECT_EQ(registry->FindFeed("G"), nullptr);
+  EXPECT_EQ(registry->version(), version);
+  // The check sees the revised registry; success keeps the revision.
+  ASSERT_TRUE(registry
+                  ->UpdateFeed(revised,
+                               [&] {
+                                 return registry->FindFeed("F")->pattern.Matches(
+                                            "new_1")
+                                            ? Status::OK()
+                                            : Status::Internal("stale");
+                               })
+                  .ok());
+  EXPECT_EQ(registry->version(), version + 1);
 }
 
 TEST(RegistryTest, AddSubscriberAtRuntime) {

@@ -244,6 +244,60 @@ TEST_F(ServerTest, ReviseFeedRedeliversUnderNewDefinition) {
   EXPECT_EQ(warehouse_->files_received(), 1u);
 }
 
+// 25 "contains this id" patterns: their subset construction grows
+// exponentially, far past FeedAutomaton's compile budget.
+std::vector<std::string> ContainsIdPatterns() {
+  std::vector<std::string> patterns;
+  for (int i = 0; i < 25; ++i) patterns.push_back(StrFormat("%%s_DEV%d_%%s", i));
+  return patterns;
+}
+
+TEST_F(ServerTest, ReviseFeedOverCompileBudgetKeepsPreviousDefinition) {
+  const uint64_t version = server_->registry()->version();
+  auto table = server_->classifier()->automaton();
+  FeedSpec revised = server_->registry()->FindFeed("SNMP.MEMORY")->spec;
+  std::vector<std::string> patterns = ContainsIdPatterns();
+  revised.pattern = patterns[0];
+  revised.alt_patterns.assign(patterns.begin() + 1, patterns.end());
+  Status status = server_->ReviseFeed(revised);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  EXPECT_NE(status.message().find("SNMP.MEMORY"), std::string::npos);
+  // The revision never happened: same definition, version and table.
+  EXPECT_EQ(server_->registry()->FindFeed("SNMP.MEMORY")->spec.pattern,
+            "MEMORY_%s_%Y%m%d.csv");
+  EXPECT_EQ(server_->registry()->version(), version);
+  EXPECT_EQ(server_->classifier()->automaton(), table);
+  ASSERT_TRUE(
+      server_->Deposit("p", "MEMORY_routerA_20100925.csv", "m").ok());
+  loop_->RunUntilIdle();
+  EXPECT_EQ(server_->stats().files_classified, 1u);
+  EXPECT_EQ(server_->stats().files_unmatched, 0u);
+}
+
+TEST(ServerCreateTest, RefusesFeedTableOverCompileBudget) {
+  std::string text;
+  std::vector<std::string> patterns = ContainsIdPatterns();
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    text += StrFormat("feed F%zu { pattern \"%s\"; }\n", i,
+                      patterns[i].c_str());
+  }
+  auto config = ParseConfig(text);
+  ASSERT_TRUE(config.ok()) << config.status();
+  SimClock clock(0);
+  EventLoop loop(&clock);
+  InMemoryFileSystem fs;
+  LoopbackTransport transport(&loop);
+  RecordingInvoker invoker;
+  Logger logger(&clock);
+  auto server = BistroServer::Create(BistroServer::Options(), *config, &fs,
+                                     &transport, &loop, &invoker, &logger);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kResourceExhausted)
+      << server.status();
+  EXPECT_NE(server.status().message().find("compile budget"),
+            std::string::npos);
+}
+
 TEST_F(ServerTest, MaintenanceExpiresOldHistory) {
   // Recreate server with a 1h window.
   BistroServer::Options opts;
