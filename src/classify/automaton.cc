@@ -5,6 +5,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "analyzer/tokenizer.h"
 #include "common/strings.h"
 
 namespace bistro {
@@ -27,26 +28,23 @@ struct Nfa {
   std::vector<NfaEdge> edges;
   std::vector<uint32_t> first_edge;  // size() + 1 offsets into edges
   std::vector<int32_t> accept;       // global pattern id, -1 = none
-  std::vector<uint32_t> starts;      // pattern id -> its first state
+  std::vector<uint32_t> owner;       // global pattern id owning each state
+  std::vector<uint32_t> starts;      // each pattern's first state
 
   uint32_t size() const { return static_cast<uint32_t>(accept.size()); }
-
-  /// Pattern owning NFA state `s` (> 0): each pattern's states are
-  /// numbered consecutively from its start.
-  uint32_t PatternOf(uint32_t s) const {
-    return static_cast<uint32_t>(
-        std::upper_bound(starts.begin(), starts.end(), s) - starts.begin() -
-        1);
-  }
 };
 
 /// Lowers each pattern's token list to an NFA fragment hanging off the
 /// shared start state 0.
 class NfaBuilder {
  public:
-  NfaBuilder() { nfa_.accept.push_back(-1); }  // state 0 = start
+  NfaBuilder() {  // state 0 = start
+    nfa_.accept.push_back(-1);
+    nfa_.owner.push_back(0);
+  }
 
   void AddPattern(const Pattern& pattern, int32_t pattern_id) {
+    owner_ = static_cast<uint32_t>(pattern_id);
     uint32_t cur = NewState();
     nfa_.starts.push_back(cur);
     for (const PatternToken& t : pattern.tokens()) {
@@ -121,6 +119,7 @@ class NfaBuilder {
 
   uint32_t NewState() {
     nfa_.accept.push_back(-1);
+    nfa_.owner.push_back(owner_);
     return nfa_.size() - 1;
   }
   void Edge(uint32_t from, uint8_t lo, uint8_t hi, uint32_t to) {
@@ -159,6 +158,7 @@ class NfaBuilder {
 
   Nfa nfa_;
   std::vector<RawEdge> raw_;
+  uint32_t owner_ = 0;  // pattern whose states NewState is adding
 };
 
 /// The NFA subset behind each DFA state, all stored back to back in one
@@ -257,41 +257,6 @@ struct IntVecHash {
   }
 };
 
-/// The compile-budget error: names the feeds whose patterns overlap in the
-/// largest subset built so far — the ones multiplying the state count.
-Status CompileBudgetError(const Nfa& nfa, const SubsetTable& subsets,
-                          uint32_t largest,
-                          const std::vector<uint32_t>& pattern_feed,
-                          const std::vector<FeedName>& feed_names) {
-  std::vector<uint32_t> patterns;
-  for (const uint32_t* s = subsets.begin(largest); s != subsets.end(largest);
-       ++s) {
-    if (*s != 0) patterns.push_back(nfa.PatternOf(*s));
-  }
-  patterns.erase(std::unique(patterns.begin(), patterns.end()),
-                 patterns.end());
-  std::vector<uint32_t> feeds;
-  for (uint32_t p : patterns) feeds.push_back(pattern_feed[p]);
-  feeds.erase(std::unique(feeds.begin(), feeds.end()), feeds.end());
-  constexpr size_t kNamed = 16;
-  std::vector<std::string> names;
-  for (size_t i = 0; i < feeds.size() && i < kNamed; ++i) {
-    names.push_back(feed_names[feeds[i]]);
-  }
-  if (feeds.size() > kNamed) {
-    names.push_back(StrFormat("and %zu more", feeds.size() - kNamed));
-  }
-  std::string budget =
-      subsets.size() >= FeedAutomaton::kMaxDfaStates
-          ? StrFormat("%u DFA states", FeedAutomaton::kMaxDfaStates)
-          : StrFormat("%u subset entries", FeedAutomaton::kMaxSubsetEntries);
-  return Status::ResourceExhausted(StrFormat(
-      "feed table exceeds the classifier compile budget of %s; its largest "
-      "state overlaps %zu patterns of %zu feeds: %s",
-      budget.c_str(), patterns.size(), feeds.size(),
-      Join(names, ", ").c_str()));
-}
-
 }  // namespace
 
 Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
@@ -303,7 +268,7 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
 
   // Snapshot-owned copies of the table: feed names and compiled patterns
   // in registry order, primary before alternates. Global pattern ids are
-  // therefore ordered exactly the way the linear classifier probes.
+  // therefore ordered exactly the way the linear oracle probes.
   std::vector<uint32_t> pattern_feed;  // pattern id -> feed index
   for (const RegisteredFeed* feed : registry.feeds()) {
     uint32_t fi = static_cast<uint32_t>(a.feed_names_.size());
@@ -316,9 +281,90 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
     }
   }
 
+  std::vector<uint32_t> dominant;
+  Status built = a.Build(pattern_feed, &dominant);
+  if (!built.ok()) {
+    // Move every pattern of each dominant pattern's feed to the residual
+    // list, then compile once more without them.
+    std::vector<bool> moved(a.feed_names_.size(), false);
+    for (uint32_t p : dominant) moved[pattern_feed[p]] = true;
+    for (uint32_t p = 0; p < a.patterns_.size(); ++p) {
+      if (moved[pattern_feed[p]]) a.residual_.push_back({pattern_feed[p], p});
+    }
+    if (a.residual_.empty()) {
+      return Status::ResourceExhausted(
+          built.message() + "; no feed's patterns dominate its states");
+    }
+    a.stats_.residual_patterns = a.residual_.size();
+    a.stats_.residual_feeds =
+        static_cast<uint64_t>(std::count(moved.begin(), moved.end(), true));
+    std::string residual = StrFormat(
+        "%zu pattern(s) of %zu feed(s) occur in over 1/%llu of its states: "
+        "%s",
+        a.residual_.size(), (size_t)a.stats_.residual_feeds,
+        (unsigned long long)kDominantShare, a.ResidualFeedNames().c_str());
+    if (a.residual_.size() > kMaxResidualPatterns) {
+      return Status::ResourceExhausted(StrFormat(
+          "%s; %s, more than the %zu residual patterns a table may have",
+          built.message().c_str(), residual.c_str(), kMaxResidualPatterns));
+    }
+    built = a.Build(pattern_feed, &dominant);
+    if (!built.ok()) {
+      return Status::ResourceExhausted(
+          StrFormat("%s even without the residual list; %s",
+                    built.message().c_str(), residual.c_str()));
+    }
+  }
+
+  auto t1 = std::chrono::steady_clock::now();
+  AutomatonStats& st = a.stats_;
+  st.compile_micros = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
+  uint64_t bytes = a.states_.size() * sizeof(State) +
+                   a.ranges_.size() * sizeof(Range) +
+                   a.dense_rows_.size() * sizeof(a.dense_rows_[0]) +
+                   a.residual_.size() * sizeof(AcceptEntry);
+  for (const AcceptSet& s : a.accept_sets_) {
+    bytes += s.entries.size() * sizeof(AcceptEntry);
+    for (const FeedName& f : s.feeds) bytes += f.size() + sizeof(FeedName);
+  }
+  for (const Pattern& p : a.patterns_) {
+    bytes += p.spec().size() * 2 + p.tokens().size() * sizeof(PatternToken);
+  }
+  for (const FeedName& f : a.feed_names_) bytes += f.size() + sizeof(FeedName);
+  st.memory_bytes = bytes;
+  return std::shared_ptr<const FeedAutomaton>(std::move(automaton));
+}
+
+std::string FeedAutomaton::ResidualFeedNames() const {
+  constexpr size_t kNamed = 16;
+  std::vector<std::string> names;
+  size_t feeds = 0;
+  for (size_t i = 0; i < residual_.size(); ++i) {
+    if (i > 0 && residual_[i].feed == residual_[i - 1].feed) continue;
+    if (feeds++ < kNamed) names.push_back(feed_names_[residual_[i].feed]);
+  }
+  if (feeds > kNamed) {
+    names.push_back(StrFormat("and %zu more", feeds - kNamed));
+  }
+  return Join(names, ", ");
+}
+
+Status FeedAutomaton::Build(const std::vector<uint32_t>& pattern_feed,
+                            std::vector<uint32_t>* dominant) {
+  states_.clear();
+  ranges_.clear();
+  dense_rows_.clear();
+  accept_sets_.clear();
+
   NfaBuilder builder;
-  for (size_t pid = 0; pid < a.patterns_.size(); ++pid) {
-    builder.AddPattern(a.patterns_[pid], static_cast<int32_t>(pid));
+  auto residual = residual_.begin();  // sorted by pattern id
+  for (size_t pid = 0; pid < patterns_.size(); ++pid) {
+    if (residual != residual_.end() && residual->pattern == pid) {
+      ++residual;
+      continue;
+    }
+    builder.AddPattern(patterns_[pid], static_cast<int32_t>(pid));
   }
   const Nfa nfa = std::move(builder).Finish();
 
@@ -329,7 +375,6 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
   SubsetTable subsets(nfa.size());
   std::unordered_map<std::vector<int32_t>, uint32_t, IntVecHash> accept_ids;
   std::vector<int32_t> pats;
-  uint32_t largest = 0;  // id of the largest subset so far
 
   // The DFA id of the sorted subset `set`, creating the state and its
   // accept set if it is new; kNoState once a budget would be exceeded.
@@ -341,8 +386,7 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
       return kNoState;
     }
     id = subsets.Add(set);
-    if (set.size() > subsets.length(largest)) largest = id;
-    a.states_.emplace_back();
+    states_.emplace_back();
     // Accept set: the pattern ids of accepting members, sorted = ordered
     // by (feed, primary-before-alt) thanks to the id assignment above.
     pats.clear();
@@ -353,9 +397,9 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
       std::sort(pats.begin(), pats.end());
       auto ait = accept_ids.find(pats);
       if (ait != accept_ids.end()) {
-        a.states_[id].accept = ait->second;
+        states_[id].accept = ait->second;
       } else {
-        uint32_t aid = static_cast<uint32_t>(a.accept_sets_.size());
+        uint32_t aid = static_cast<uint32_t>(accept_sets_.size());
         accept_ids.emplace(pats, aid);
         AcceptSet set_out;
         set_out.entries.reserve(pats.size());
@@ -365,20 +409,38 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
         }
         for (const AcceptEntry& e : set_out.entries) {
           if (set_out.feeds.empty() ||
-              a.feed_names_[e.feed] != set_out.feeds.back()) {
-            set_out.feeds.push_back(a.feed_names_[e.feed]);
+              feed_names_[e.feed] != set_out.feeds.back()) {
+            set_out.feeds.push_back(feed_names_[e.feed]);
           }
         }
         set_out.primary_pattern = set_out.entries.front().pattern;
-        a.accept_sets_.push_back(std::move(set_out));
-        a.states_[id].accept = aid;
+        accept_sets_.push_back(std::move(set_out));
+        states_[id].accept = aid;
       }
     }
     return id;
   };
+  // On a budget trip: count how often each pattern's states occur in the
+  // subsets built so far. Subset 0 is skipped; it alone holds the start
+  // states, one per pattern.
   auto budget_error = [&] {
-    return CompileBudgetError(nfa, subsets, largest, pattern_feed,
-                              a.feed_names_);
+    std::vector<uint64_t> occupancy(patterns_.size(), 0);
+    for (uint32_t id = 1; id < subsets.size(); ++id) {
+      for (const uint32_t* s = subsets.begin(id); s != subsets.end(id); ++s) {
+        ++occupancy[nfa.owner[*s]];
+      }
+    }
+    for (uint32_t p = 0; p < occupancy.size(); ++p) {
+      if (occupancy[p] * kDominantShare > subsets.size()) {
+        dominant->push_back(p);
+      }
+    }
+    std::string budget =
+        subsets.size() >= kMaxDfaStates
+            ? StrFormat("%u DFA states", kMaxDfaStates)
+            : StrFormat("%u subset entries", kMaxSubsetEntries);
+    return Status::ResourceExhausted(
+        "feed table exceeds the classifier compile budget of " + budget);
   };
 
   // The start subset: state 0 plus its epsilon closure, every pattern's
@@ -406,7 +468,7 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
     }
     std::sort(bounds.begin(), bounds.end());
     bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-    uint32_t first_range = static_cast<uint32_t>(a.ranges_.size());
+    uint32_t first_range = static_cast<uint32_t>(ranges_.size());
     for (size_t bi = 0; bi + 1 <= bounds.size(); ++bi) {
       int b = bounds[bi];
       if (b > 255) break;
@@ -428,17 +490,17 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
       uint32_t target = intern(seed);
       if (target == kNoState) return budget_error();
       // Merge with the previous range when contiguous and same target.
-      if (a.states_[id].num_ranges > 0) {
-        Range& prev = a.ranges_.back();
+      if (states_[id].num_ranges > 0) {
+        Range& prev = ranges_.back();
         if (prev.target == target && static_cast<int>(prev.hi) + 1 == b) {
           prev.hi = static_cast<uint8_t>(hi);
           continue;
         }
       }
-      a.ranges_.push_back({static_cast<uint8_t>(b), static_cast<uint8_t>(hi),
-                           target});
-      a.states_[id].first_range = first_range;
-      ++a.states_[id].num_ranges;
+      ranges_.push_back(
+          {static_cast<uint8_t>(b), static_cast<uint8_t>(hi), target});
+      states_[id].first_range = first_range;
+      ++states_[id].num_ranges;
     }
   }
 
@@ -448,7 +510,7 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
   // every byte of a scan was a fresh cache miss. Pre-order DFS lays each
   // chain out consecutively in states_ and ranges_, so walking it touches
   // a couple of lines instead.
-  const size_t n = a.states_.size();
+  const size_t n = states_.size();
   std::vector<uint32_t> order;  // new id -> construction id
   order.reserve(n);
   {
@@ -459,10 +521,10 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
       uint32_t old_id = stack.back();
       stack.pop_back();
       order.push_back(old_id);
-      const State& os = a.states_[old_id];
+      const State& os = states_[old_id];
       // Push children reversed so the lowest byte range is walked first.
       for (uint16_t i = os.num_ranges; i > 0; --i) {
-        uint32_t t = a.ranges_[os.first_range + i - 1].target;
+        uint32_t t = ranges_[os.first_range + i - 1].target;
         if (remap[t] == kNoState) {
           remap[t] = 0;  // mark visited; final id assigned below
           stack.push_back(t);
@@ -474,64 +536,49 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
     }
     std::vector<State> new_states(n);
     std::vector<Range> new_ranges;
-    new_ranges.reserve(a.ranges_.size());
+    new_ranges.reserve(ranges_.size());
     for (uint32_t new_id = 0; new_id < order.size(); ++new_id) {
-      const State& os = a.states_[order[new_id]];
+      const State& os = states_[order[new_id]];
       State ns = os;
       ns.first_range = static_cast<uint32_t>(new_ranges.size());
       for (uint16_t i = 0; i < os.num_ranges; ++i) {
-        const Range& r = a.ranges_[os.first_range + i];
+        const Range& r = ranges_[os.first_range + i];
         new_ranges.push_back({r.lo, r.hi, remap[r.target]});
       }
       new_states[new_id] = ns;
     }
-    a.states_ = std::move(new_states);
-    a.ranges_ = std::move(new_ranges);
+    states_ = std::move(new_states);
+    ranges_ = std::move(new_ranges);
 
     // Dense rows go to the breadth-first head — the states every scan
     // passes through — not the DFS head (which is one deep leftmost path).
     size_t dense_count =
         std::min<size_t>(n, FeedAutomaton::kDenseRowLimit);
-    a.dense_rows_.resize(dense_count);
+    dense_rows_.resize(dense_count);
     size_t next_row = 0;
     for (uint32_t old_id = 0; old_id < dense_count; ++old_id) {
       uint32_t id = remap[old_id];
-      auto& row = a.dense_rows_[next_row];
+      auto& row = dense_rows_[next_row];
       row.fill(kNoState);
-      const State& st = a.states_[id];
+      const State& st = states_[id];
       for (uint16_t i = 0; i < st.num_ranges; ++i) {
-        const Range& r = a.ranges_[st.first_range + i];
+        const Range& r = ranges_[st.first_range + i];
         for (int b = r.lo; b <= r.hi; ++b) {
           row[static_cast<size_t>(b)] = r.target;
         }
       }
-      a.states_[id].dense = static_cast<int16_t>(next_row++);
+      states_[id].dense = static_cast<int16_t>(next_row++);
     }
   }
 
-  auto t1 = std::chrono::steady_clock::now();
-  AutomatonStats& st = a.stats_;
-  st.patterns = a.patterns_.size();
+  AutomatonStats& st = stats_;
+  st.patterns = patterns_.size() - residual_.size();
   st.nfa_states = nfa.size();
-  st.dfa_states = a.states_.size();
-  st.dense_rows = a.dense_rows_.size();
-  st.sparse_rows = a.states_.size() - a.dense_rows_.size();
-  st.accept_sets = a.accept_sets_.size();
-  st.compile_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
-  uint64_t bytes = a.states_.size() * sizeof(State) +
-                   a.ranges_.size() * sizeof(Range) +
-                   a.dense_rows_.size() * sizeof(a.dense_rows_[0]);
-  for (const AcceptSet& s : a.accept_sets_) {
-    bytes += s.entries.size() * sizeof(AcceptEntry);
-    for (const FeedName& f : s.feeds) bytes += f.size() + sizeof(FeedName);
-  }
-  for (const Pattern& p : a.patterns_) {
-    bytes += p.spec().size() * 2 + p.tokens().size() * sizeof(PatternToken);
-  }
-  for (const FeedName& f : a.feed_names_) bytes += f.size() + sizeof(FeedName);
-  st.memory_bytes = bytes;
-  return std::shared_ptr<const FeedAutomaton>(std::move(automaton));
+  st.dfa_states = states_.size();
+  st.dense_rows = dense_rows_.size();
+  st.sparse_rows = states_.size() - dense_rows_.size();
+  st.accept_sets = accept_sets_.size();
+  return Status::OK();
 }
 
 uint64_t FeedAutomaton::TableDigest() const {
@@ -583,55 +630,6 @@ FeedAutomaton::ScanOutcome FeedAutomaton::Scan(std::string_view name) const {
   }
   const State& st = states_[s];
   if (st.accept != kNoAccept) out.accepts = &accept_sets_[st.accept];
-  return out;
-}
-
-FeedAutomaton::ScanOutcome FeedAutomaton::ScanAndTokenize(
-    std::string_view name, std::vector<NameToken>* tokens) const {
-  ScanOutcome out;
-  uint32_t s = 0;
-  uint32_t digit_run = 0;
-  bool in_run = false;
-  size_t run_start = 0;
-  NameCharKind run_kind = NameCharKind::kSep;
-  auto flush = [&](size_t end) {
-    tokens->push_back({run_kind == NameCharKind::kAlpha
-                           ? NameToken::Kind::kAlpha
-                           : NameToken::Kind::kDigits,
-                       std::string(name.substr(run_start, end - run_start))});
-  };
-  for (size_t i = 0; i < name.size(); ++i) {
-    uint8_t c = static_cast<uint8_t>(name[i]);
-    NameCharKind k = kNameCharClass[c];
-    if (k == NameCharKind::kSep) {
-      if (in_run) {
-        flush(i);
-        in_run = false;
-      }
-      tokens->push_back({NameToken::Kind::kSep, std::string(1, name[i])});
-      digit_run = 0;
-    } else {
-      if (in_run && k != run_kind) {
-        flush(i);
-        in_run = false;
-      }
-      if (!in_run) {
-        in_run = true;
-        run_kind = k;
-        run_start = i;
-      }
-      if (k == NameCharKind::kDigit) {
-        if (++digit_run >= kVerifyDigitRun) out.verify = true;
-      } else {
-        digit_run = 0;
-      }
-    }
-    if (s != kNoState) s = Step(s, c);  // keep tokenizing past a dead DFA
-  }
-  if (in_run) flush(name.size());
-  if (s != kNoState && states_[s].accept != kNoAccept) {
-    out.accepts = &accept_sets_[states_[s].accept];
-  }
   return out;
 }
 

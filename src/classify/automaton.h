@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analyzer/tokenizer.h"
 #include "config/registry.h"
 #include "pattern/pattern.h"
 
@@ -23,8 +22,10 @@ struct AutomatonStats {
   uint64_t dense_rows = 0;     // byte-indexed 256-entry rows (hot states)
   uint64_t sparse_rows = 0;    // range-list fallback rows (cold states)
   uint64_t accept_sets = 0;    // distinct terminal (feed, pattern) sets
+  uint64_t residual_patterns = 0;  // patterns matched after the scan
+  uint64_t residual_feeds = 0;     // feeds those patterns belong to
   uint64_t memory_bytes = 0;   // resident footprint of the tables
-  uint64_t compile_micros = 0;
+  uint64_t compile_micros = 0;  // every attempt, the retry included
 };
 
 /// The entire feed table compiled into one DFA (ROADMAP item 3): every
@@ -55,6 +56,16 @@ struct AutomatonStats {
 /// else — `%s` non-emptiness, time-field ranges, `%%` literals — is
 /// encoded in the states themselves.
 ///
+/// Residual list: a few "contains this id" patterns (`%s_DEV7_%s`) can
+/// multiply the DFA's states past its compile budget. When a compile
+/// trips the budget, the feeds whose patterns sit in more than
+/// 1/kDominantShare of the state subsets built so far move, whole, to a
+/// residual list, and the table compiles once more without them. Residual
+/// patterns are tried one by one after the scan, and their matches merge
+/// with the DFA's in registry feed order, so a Classification is the same
+/// as if every pattern were in the DFA. Tables within budget compile once
+/// and have an empty residual list.
+///
 /// Layout: state ids are assigned depth-first after construction, so the
 /// long single-successor chains at the bottom of the table (each
 /// pattern's literal suffix) occupy consecutive States and consecutive
@@ -74,10 +85,10 @@ class FeedAutomaton {
   /// backoff visible; the scan flags such names for re-verification.
   static constexpr uint32_t kVerifyDigitRun = 19;
 
-  /// One (feed, pattern) pair a terminal state accepts. Indices point
-  /// into feed_names() / pattern(); entries are ordered by registry feed
-  /// order, then primary-before-alternates within a feed — the same
-  /// order the linear classifier probes in.
+  /// One (feed, pattern) pair a terminal state accepts, or a residual
+  /// pattern. Indices point into feed_name() / pattern(); entries are
+  /// ordered by registry feed order, then primary-before-alternates
+  /// within a feed — the same order the linear oracle probes in.
   struct AcceptEntry {
     uint32_t feed = 0;
     uint32_t pattern = 0;
@@ -106,28 +117,39 @@ class FeedAutomaton {
 
   /// Compile budgets. Subset construction is exponential in the worst
   /// case — "contains this id" tables (`%s_DEV<n>_%s`) multiply states
-  /// with every feed — so a table whose DFA would need more states, or
-  /// more NFA-state entries summed over all state subsets, is refused
-  /// instead of exhausting memory. E14's 10^5-pattern table needs ~711k
-  /// states; the 2,000-feed smallfile table ~59k.
+  /// with every feed — so a construction that would need more states, or
+  /// more NFA-state entries summed over all state subsets, stops instead
+  /// of exhausting memory. E14's 10^5-pattern table needs ~711k states;
+  /// the 2,000-feed smallfile table ~59k.
   static constexpr uint32_t kMaxDfaStates = 1u << 20;
   static constexpr uint32_t kMaxSubsetEntries = 1u << 24;
+  /// A pattern is moved to the residual list when its NFA states occur
+  /// more often than once per kDominantShare subsets built. On a table of
+  /// 2,000 distinct-prefix feeds plus 25 contains-id feeds the two groups
+  /// sit four orders of magnitude apart (<= 39 against ~700k occurrences
+  /// over ~430k subsets), so this is a constant, not a tuning knob.
+  static constexpr uint64_t kDominantShare = 8;
+  /// Residual patterns cost a full match each per file, so the list is
+  /// short by construction; a table that needs more is refused.
+  static constexpr size_t kMaxResidualPatterns = 256;
 
-  /// Compiles every feed in `registry` (primary + alternative patterns).
-  /// The snapshot records registry.version() for lazy rebuild checks.
-  /// ResourceExhausted, naming the feeds that overlap in the largest
-  /// state subset, when the table exceeds a compile budget.
+  /// Compiles every feed in `registry` (primary + alternative patterns),
+  /// moving the feeds that break the compile budget to the residual list.
+  /// ResourceExhausted, naming those feeds, when the residual list would
+  /// exceed kMaxResidualPatterns or the table without them still exceeds
+  /// a budget.
   static Result<std::shared_ptr<const FeedAutomaton>> Compile(
       const FeedRegistry& registry);
 
-  /// Classifies `name` in one scan.
+  /// Classifies `name` in one scan. Residual patterns are not consulted.
   ScanOutcome Scan(std::string_view name) const;
 
-  /// The fused scan: classifies `name` and, in the same pass over the
-  /// bytes, appends the analyzer's NameToken segmentation to `tokens`
-  /// (identical to TokenizeName(name) — both run off kNameCharClass).
-  ScanOutcome ScanAndTokenize(std::string_view name,
-                              std::vector<NameToken>* tokens) const;
+  /// The residual (feed, pattern) pairs, in registry order; empty for
+  /// every table within the compile budget.
+  const std::vector<AcceptEntry>& residual() const { return residual_; }
+  /// The residual feeds' names for logs and errors: the first 16, then
+  /// "and N more".
+  std::string ResidualFeedNames() const;
 
   const Pattern& pattern(uint32_t idx) const { return patterns_[idx]; }
   const FeedName& feed_name(uint32_t idx) const { return feed_names_[idx]; }
@@ -169,6 +191,13 @@ class FeedAutomaton {
 
   FeedAutomaton() = default;
 
+  /// One subset construction over every pattern not in residual_: fills
+  /// the tables and stats_'s size fields. On a budget trip returns
+  /// ResourceExhausted and appends to `dominant` the patterns that occupy
+  /// more than 1/kDominantShare of the subsets built so far.
+  Status Build(const std::vector<uint32_t>& pattern_feed,
+               std::vector<uint32_t>* dominant);
+
   uint32_t Step(uint32_t state, uint8_t byte) const {
     const State& s = states_[state];
     if (s.dense >= 0) return dense_rows_[static_cast<size_t>(s.dense)][byte];
@@ -184,6 +213,7 @@ class FeedAutomaton {
   std::vector<Range> ranges_;
   std::vector<std::array<uint32_t, 256>> dense_rows_;
   std::vector<AcceptSet> accept_sets_;
+  std::vector<AcceptEntry> residual_;
   /// Snapshot-owned copies (see class comment on self-containment).
   std::vector<Pattern> patterns_;
   std::vector<FeedName> feed_names_;

@@ -1,32 +1,31 @@
 #include "classify/classifier.h"
 
-#include <algorithm>
-
 namespace bistro {
 
-FeedClassifier::TrieNode* FeedClassifier::TrieNode::Child(char c) const {
-  auto it = std::lower_bound(
-      children.begin(), children.end(), c,
-      [](const auto& entry, char key) { return entry.first < key; });
-  if (it == children.end() || it->first != c) return nullptr;
-  return it->second.get();
+namespace {
+
+/// The candidate step shared by the linear oracle and the automaton's
+/// exact path: on a match, `feed` joins `out`. Only the first matching
+/// feed's pattern extracts fields; every later candidate runs the
+/// capture-free accept test, which builds no MatchResult vectors.
+bool TryCandidate(const std::string& name, const FeedName& feed,
+                  const Pattern& pattern, Classification* out) {
+  if (out->feeds.empty() ? !pattern.TryMatch(name, &out->primary_match)
+                         : !pattern.Matches(name)) {
+    return false;
+  }
+  out->feeds.push_back(feed);
+  return true;
 }
 
-FeedClassifier::TrieNode* FeedClassifier::TrieNode::ChildOrNew(char c) {
-  auto it = std::lower_bound(
-      children.begin(), children.end(), c,
-      [](const auto& entry, char key) { return entry.first < key; });
-  if (it != children.end() && it->first == c) return it->second.get();
-  it = children.emplace(it, c, std::make_unique<TrieNode>());
-  return it->second.get();
+}  // namespace
+
+FeedClassifier::FeedClassifier(const FeedRegistry* registry)
+    : registry_(registry) {
+  (void)Rebuild();
 }
 
-FeedClassifier::FeedClassifier(const FeedRegistry* registry, IndexMode mode)
-    : registry_(registry), mode_(mode) {
-  if (!Rebuild().ok()) failed_version_ = registry_->version();
-}
-
-Status FeedClassifier::RebuildAutomatonLocked() const {
+Status FeedClassifier::Rebuild() {
   auto compiled = FeedAutomaton::Compile(*registry_);
   compile_status_ = compiled.status();
   if (!compiled.ok()) {
@@ -35,16 +34,13 @@ Status FeedClassifier::RebuildAutomatonLocked() const {
     }
     return compile_status_;
   }
-  failed_version_.reset();
   std::shared_ptr<const FeedAutomaton> fresh = std::move(compiled).value();
   if (rebuilds_metric_ != nullptr) {
-    const AutomatonStats& s = fresh->stats();
     rebuilds_metric_->Increment();
-    states_metric_->Set(static_cast<int64_t>(s.dfa_states));
-    accept_sets_metric_->Set(static_cast<int64_t>(s.accept_sets));
-    memory_metric_->Set(static_cast<int64_t>(s.memory_bytes));
-    compile_metric_->Record(static_cast<int64_t>(s.compile_micros));
+    compile_metric_->Record(
+        static_cast<int64_t>(fresh->stats().compile_micros));
   }
+  PublishStats(*fresh);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_.swap(fresh);
@@ -52,23 +48,13 @@ Status FeedClassifier::RebuildAutomatonLocked() const {
   return Status::OK();  // the previous table is freed here, unlocked
 }
 
-Status FeedClassifier::Rebuild() {
-  if (mode_ == IndexMode::kAutomaton) {
-    std::lock_guard<std::mutex> lock(rebuild_mu_);
-    return RebuildAutomatonLocked();
-  }
-  root_ = std::make_unique<TrieNode>();
-  if (mode_ != IndexMode::kPrefixIndex) return Status::OK();
-  for (const RegisteredFeed* feed : registry_->feeds()) {
-    Insert(feed, &feed->pattern);
-    for (const Pattern& alt : feed->alts) Insert(feed, &alt);
-  }
-  return Status::OK();
-}
-
-Status FeedClassifier::compile_status() const {
-  std::lock_guard<std::mutex> lock(rebuild_mu_);
-  return compile_status_;
+void FeedClassifier::PublishStats(const FeedAutomaton& automaton) {
+  if (states_metric_ == nullptr) return;
+  const AutomatonStats& s = automaton.stats();
+  states_metric_->Set(static_cast<int64_t>(s.dfa_states));
+  accept_sets_metric_->Set(static_cast<int64_t>(s.accept_sets));
+  residual_metric_->Set(static_cast<int64_t>(s.residual_patterns));
+  memory_metric_->Set(static_cast<int64_t>(s.memory_bytes));
 }
 
 void FeedClassifier::AttachMetrics(MetricsRegistry* metrics) {
@@ -83,6 +69,9 @@ void FeedClassifier::AttachMetrics(MetricsRegistry* metrics) {
   accept_sets_metric_ =
       metrics->GetGauge("bistro_classifier_accept_sets",
                         "Distinct terminal (feed, pattern) accept sets");
+  residual_metric_ = metrics->GetGauge(
+      "bistro_classifier_residual_patterns",
+      "Patterns outside the DFA, matched one by one after the scan");
   memory_metric_ = metrics->GetGauge(
       "bistro_classifier_table_bytes",
       "Resident footprint of the compiled classifier tables");
@@ -90,144 +79,53 @@ void FeedClassifier::AttachMetrics(MetricsRegistry* metrics) {
       "bistro_classifier_compile_micros",
       "Feed-table automaton compile time in microseconds");
   // Surface the stats of the snapshot compiled before metrics attached.
-  if (auto snap = automaton()) {
-    const AutomatonStats& s = snap->stats();
-    states_metric_->Set(static_cast<int64_t>(s.dfa_states));
-    accept_sets_metric_->Set(static_cast<int64_t>(s.accept_sets));
-    memory_metric_->Set(static_cast<int64_t>(s.memory_bytes));
-  }
-}
-
-void FeedClassifier::Insert(const RegisteredFeed* feed, const Pattern* pattern) {
-  TrieNode* node = root_.get();
-  for (char c : pattern->literal_prefix()) node = node->ChildOrNew(c);
-  node->candidates.emplace_back(feed, pattern);
-}
-
-void FeedClassifier::CollectCandidates(const std::string& name,
-                                       std::vector<Candidate>* out) const {
-  // Walk the trie along the filename; every node passed contributes the
-  // candidates whose literal prefix ends there (including the root's
-  // prefix-less patterns, which must always be tried).
-  const TrieNode* node = root_.get();
-  out->insert(out->end(), node->candidates.begin(), node->candidates.end());
-  for (char c : name) {
-    const TrieNode* child = node->Child(c);
-    if (child == nullptr) break;
-    node = child;
-    out->insert(out->end(), node->candidates.begin(), node->candidates.end());
-  }
-}
-
-Classification FeedClassifier::ClassifyCandidates(
-    const std::string& name) const {
-  Classification result;
-  std::vector<Candidate> candidates;
-  if (mode_ == IndexMode::kPrefixIndex) {
-    CollectCandidates(name, &candidates);
-  } else {
-    for (const RegisteredFeed* feed : registry_->feeds()) {
-      candidates.emplace_back(feed, &feed->pattern);
-      for (const Pattern& alt : feed->alts) candidates.emplace_back(feed, &alt);
-    }
-  }
-  // A feed may contribute several patterns; it belongs to the result at
-  // most once (first matching pattern wins for field extraction). The
-  // registry hands out stable RegisteredFeed pointers, so a flat set of
-  // pointers dedupes in O(matched) per candidate instead of comparing
-  // dotted names against the whole result list.
-  std::vector<const RegisteredFeed*> matched_feeds;
-  matched_feeds.reserve(4);
-  for (const auto& [feed, pattern] : candidates) {
-    if (std::find(matched_feeds.begin(), matched_feeds.end(), feed) !=
-        matched_feeds.end()) {
-      continue;
-    }
-    candidate_checks_.fetch_add(1, std::memory_order_relaxed);
-    // Fields are only extracted for the primary (first) match; every
-    // other candidate runs the capture-free accept test, which builds
-    // no MatchResult vectors on accept or reject.
-    if (result.feeds.empty()) {
-      if (!pattern->TryMatch(name, &result.primary_match)) continue;
-    } else {
-      if (!pattern->Matches(name)) continue;
-    }
-    matched_feeds.push_back(feed);
-    result.feeds.push_back(feed->spec.name);
-  }
-  return result;
+  if (auto snap = automaton()) PublishStats(*snap);
 }
 
 Classification FeedClassifier::ClassifyAutomaton(
     const FeedAutomaton& automaton, const std::string& name) const {
   Classification result;
   FeedAutomaton::ScanOutcome scan = automaton.Scan(name);
-  if (scan.accepts == nullptr) return result;
-  const FeedAutomaton::AcceptSet& accepts = *scan.accepts;
-  if (!scan.verify) {
-    result.feeds = accepts.feeds;
-    automaton.pattern(accepts.primary_pattern)
+  const std::vector<FeedAutomaton::AcceptEntry>& residual =
+      automaton.residual();
+  if (!scan.verify && residual.empty()) {
+    if (scan.accepts == nullptr) return result;
+    result.feeds = scan.accepts->feeds;
+    automaton.pattern(scan.accepts->primary_pattern)
         .TryMatch(name, &result.primary_match);
     return result;
   }
-  // Rare exact-verification path: the name carries a digit run long
-  // enough that %i's int64-overflow backoff can disagree with the DFA's
-  // digit loops. Re-check each accepted (feed, pattern) with the exact
-  // matcher; entries are feed-major, so duplicates are adjacent.
+  // Exact path, for names with a digit run long enough that %i's
+  // int64-overflow backoff can disagree with the DFA's digit loops, and
+  // for tables with residual patterns. Each accepted and each residual
+  // (feed, pattern) pair is checked with the exact matcher, merged in
+  // registry feed order: both lists are feed-major, and a feed is in only
+  // one of them.
+  static const std::vector<FeedAutomaton::AcceptEntry> kNoAccepts;
+  const std::vector<FeedAutomaton::AcceptEntry>& accepted =
+      scan.accepts != nullptr ? scan.accepts->entries : kNoAccepts;
+  auto a = accepted.begin();
+  auto r = residual.begin();
   uint32_t last_feed = 0;
-  bool have_feed = false;
-  for (const FeedAutomaton::AcceptEntry& e : accepts.entries) {
-    if (have_feed && e.feed == last_feed) continue;
-    candidate_checks_.fetch_add(1, std::memory_order_relaxed);
-    const Pattern& pattern = automaton.pattern(e.pattern);
-    if (result.feeds.empty()) {
-      if (!pattern.TryMatch(name, &result.primary_match)) continue;
-    } else {
-      if (!pattern.Matches(name)) continue;
+  uint64_t checks = 0;
+  while (a != accepted.end() || r != residual.end()) {
+    const FeedAutomaton::AcceptEntry& e =
+        r == residual.end() || (a != accepted.end() && a->feed < r->feed)
+            ? *a++
+            : *r++;
+    if (!result.feeds.empty() && e.feed == last_feed) continue;
+    ++checks;
+    if (TryCandidate(name, automaton.feed_name(e.feed),
+                     automaton.pattern(e.pattern), &result)) {
+      last_feed = e.feed;
     }
-    result.feeds.push_back(automaton.feed_name(e.feed));
-    last_feed = e.feed;
-    have_feed = true;
   }
+  candidate_checks_.fetch_add(checks, std::memory_order_relaxed);
   return result;
 }
 
 Classification FeedClassifier::Classify(const std::string& name) const {
-  if (mode_ == IndexMode::kAutomaton) {
-    std::shared_ptr<const FeedAutomaton> snap =
-        automaton();
-    if (snap == nullptr || snap->version() != registry_->version()) {
-      // Lazy rebuild off the registry version bump (the
-      // SubscriptionIndex idiom). Serialized so concurrent detections
-      // compile once; losers re-read the fresh snapshot. A version whose
-      // table failed to compile keeps the previous snapshot.
-      std::lock_guard<std::mutex> lock(rebuild_mu_);
-      snap = automaton();
-      const uint64_t version = registry_->version();
-      if ((snap == nullptr || snap->version() != version) &&
-          failed_version_ != version) {
-        if (!RebuildAutomatonLocked().ok()) failed_version_ = version;
-        snap = automaton();
-      }
-    }
-    files_.fetch_add(1, std::memory_order_relaxed);
-    Classification result =
-        snap != nullptr ? ClassifyAutomaton(*snap, name) : Classification{};
-    (result.matched() ? matched_ : unmatched_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return result;
-  }
-  files_.fetch_add(1, std::memory_order_relaxed);
-  Classification result = ClassifyCandidates(name);
-  (result.matched() ? matched_ : unmatched_)
-      .fetch_add(1, std::memory_order_relaxed);
-  return result;
-}
-
-Classification FeedClassifier::ClassifySnapshot(const std::string& name) const {
-  if (mode_ != IndexMode::kAutomaton) return Classify(name);
-  std::shared_ptr<const FeedAutomaton> snap =
-      automaton();
+  std::shared_ptr<const FeedAutomaton> snap = automaton();
   files_.fetch_add(1, std::memory_order_relaxed);
   Classification result =
       snap != nullptr ? ClassifyAutomaton(*snap, name) : Classification{};
@@ -236,25 +134,16 @@ Classification FeedClassifier::ClassifySnapshot(const std::string& name) const {
   return result;
 }
 
-std::string_view IndexModeName(FeedClassifier::IndexMode mode) {
-  switch (mode) {
-    case FeedClassifier::IndexMode::kLinear:
-      return "linear";
-    case FeedClassifier::IndexMode::kPrefixIndex:
-      return "trie";
-    case FeedClassifier::IndexMode::kAutomaton:
-      return "automaton";
+Classification ClassifyLinear(const FeedRegistry& registry,
+                              const std::string& name) {
+  Classification result;
+  for (const RegisteredFeed* feed : registry.feeds()) {
+    if (TryCandidate(name, feed->spec.name, feed->pattern, &result)) continue;
+    for (const Pattern& alt : feed->alts) {
+      if (TryCandidate(name, feed->spec.name, alt, &result)) break;
+    }
   }
-  return "automaton";
-}
-
-Result<FeedClassifier::IndexMode> IndexModeFromName(std::string_view name) {
-  if (name == "automaton") return FeedClassifier::IndexMode::kAutomaton;
-  if (name == "trie") return FeedClassifier::IndexMode::kPrefixIndex;
-  if (name == "linear") return FeedClassifier::IndexMode::kLinear;
-  return Status::InvalidArgument("unknown classifier mode '" +
-                                 std::string(name) +
-                                 "' (expected automaton, trie or linear)");
+  return result;
 }
 
 }  // namespace bistro

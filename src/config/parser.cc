@@ -331,11 +331,6 @@ const std::vector<Key<ReceiptTuningSpec>> kReceiptKeys = {
     Int("shards", &ReceiptTuningSpec::shards, 1, 256),
 };
 
-const std::vector<Key<ClassifierTuningSpec>> kClassifierKeys = {
-    Choice("mode", &ClassifierTuningSpec::mode,
-           {"automaton", "trie", "linear"}),
-};
-
 // ---------------------------------------------------- server and peers
 
 const std::vector<Key<ServerNetSpec>> kServerKeys = {
@@ -521,7 +516,6 @@ const std::vector<Statement> kStatements = {
     Overlay("ingest", &ServerConfig::ingest, &kIngestKeys),
     Overlay("analyzer", &ServerConfig::analyzer, &kAnalyzerKeys),
     Overlay("receipts", &ServerConfig::receipts, &kReceiptKeys),
-    Overlay("classifier", &ServerConfig::classifier, &kClassifierKeys),
     Named("plan", &ServerConfig::plans, &PlanSpec::feed, &kPlanKeys,
           CheckPlan),
     Overlay("server", &ServerConfig::server, &kServerKeys),

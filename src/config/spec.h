@@ -125,16 +125,6 @@ struct ReceiptTuningSpec {
   bool operator==(const ReceiptTuningSpec&) const = default;
 };
 
-/// The config's `classifier { ... }` block: which filename-lookup
-/// strategy the server uses (see FeedClassifier::IndexMode).
-struct ClassifierTuningSpec {
-  /// "automaton" (default: the whole feed table compiled into one fused
-  /// DFA), "trie" (literal-prefix index) or "linear" (scan every feed).
-  std::optional<std::string> mode;
-
-  bool operator==(const ClassifierTuningSpec&) const = default;
-};
-
 /// Server-wide delivery/retry tuning (the config's `delivery { ... }`
 /// block). Every field is optional: unset fields keep the engine's
 /// compiled-in defaults, so configs written before a knob existed keep
@@ -321,7 +311,6 @@ struct ServerConfig {
   IngestTuningSpec ingest;
   AnalyzerTuningSpec analyzer;
   ReceiptTuningSpec receipts;
-  ClassifierTuningSpec classifier;
   ServerNetSpec server;
   std::vector<PeerSpec> peers;
   std::vector<PlanSpec> plans;

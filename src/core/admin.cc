@@ -191,9 +191,6 @@ std::string RenderClassifier(BistroServer* server) {
   FeedClassifier* classifier = server->classifier();
   ClassifierStats stats = classifier->stats();
   std::string out = "=== Classifier ===\n";
-  out += "mode: ";
-  out += IndexModeName(classifier->mode());
-  out += "\n";
   out += StrFormat("files classified: %llu (%llu matched, %llu unmatched)\n",
                    (unsigned long long)stats.files,
                    (unsigned long long)stats.matched,
@@ -214,6 +211,8 @@ std::string RenderClassifier(BistroServer* server) {
     out += StrFormat("  dfa states: %zu (%zu dense, %zu sparse rows)\n",
                      a.dfa_states, a.dense_rows, a.sparse_rows);
     out += StrFormat("  accept sets: %zu\n", a.accept_sets);
+    out += StrFormat("  residual: %zu pattern(s) of %zu feed(s)\n",
+                     a.residual_patterns, a.residual_feeds);
     out += StrFormat("  table memory: %s\n", HumanBytes(a.memory_bytes).c_str());
     out += StrFormat("  last compile: %llu us\n",
                      (unsigned long long)a.compile_micros);

@@ -108,19 +108,12 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
       ReceiptDatabase::Open(fs, server->options_.db_dir, server->options_.kv,
                             shards));
   server->receipts_->AttachMetrics(server->metrics_);
-  // Classifier strategy: the compiled feed-table automaton unless the
-  // config's classifier block picks a legacy mode.
-  FeedClassifier::IndexMode classifier_mode =
-      FeedClassifier::IndexMode::kAutomaton;
-  if (config.classifier.mode) {
-    BISTRO_ASSIGN_OR_RETURN(classifier_mode,
-                            IndexModeFromName(*config.classifier.mode));
-  }
-  server->classifier_ = std::make_unique<FeedClassifier>(
-      server->registry_.get(), classifier_mode);
+  server->classifier_ =
+      std::make_unique<FeedClassifier>(server->registry_.get());
   BISTRO_RETURN_IF_ERROR(
       server->classifier_->compile_status().WithContext("feed table"));
   server->classifier_->AttachMetrics(server->metrics_);
+  server->WarnResidualFeeds();
   if (scheduler == nullptr) {
     PartitionedScheduler::Options sched_opts;
     // With a pipelined window, each subscriber may legitimately hold
@@ -330,8 +323,21 @@ Status BistroServer::ReviseFeed(const FeedSpec& spec) {
     return registry_->UpdateFeed(spec, [&] { return classifier_->Rebuild(); });
   }));
   logger_->Info("admin", "feed definition revised: " + spec.name);
+  WarnResidualFeeds();
   delivery_->BackfillFeed(spec.name);
   return Status::OK();
+}
+
+void BistroServer::WarnResidualFeeds() {
+  std::shared_ptr<const FeedAutomaton> table = classifier_->automaton();
+  if (table->residual().empty()) return;
+  logger_->Warning(
+      "classifier",
+      StrFormat("%zu pattern(s) of %zu feed(s) break the compile budget and "
+                "are matched one by one after the DFA scan: %s",
+                table->stats().residual_patterns,
+                table->stats().residual_feeds,
+                table->ResidualFeedNames().c_str()));
 }
 
 Result<std::string> BistroServer::Retrieve(FileId file_id) const {

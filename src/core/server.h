@@ -186,6 +186,10 @@ class BistroServer : public Endpoint {
   /// staged file to delivery. Runs on the event loop in both modes.
   void OnIngestCommitted(const IngestPipeline::Committed& done);
 
+  /// Logs a warning naming the feeds on the classifier's residual list,
+  /// if any (after load and after each feed revision).
+  void WarnResidualFeeds();
+
   Options options_;
   FileSystem* fs_;
   EventLoop* loop_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/backoff.h"
 #include "common/hash.h"
 #include "common/strings.h"
 
@@ -462,33 +463,15 @@ void DeliveryEngine::HandleFailure(TransferJob job) {
     return;
   }
   retries_->Increment();
-  Duration backoff = NextBackoff(&job);
+  const Duration backoff = NextBackoff(
+      {options_.retry_backoff, options_.retry_backoff_max,
+       options_.retry_backoff_multiplier, options_.retry_jitter},
+      job.last_backoff, &backoff_rng_);
+  job.last_backoff = backoff;
   loop_->PostAfter(backoff, Guard([this, job = std::move(job)]() mutable {
                      scheduler_->Submit(job);
                      Pump();
                    }));
-}
-
-Duration DeliveryEngine::NextBackoff(TransferJob* job) {
-  const Duration base = std::max<Duration>(options_.retry_backoff, 1);
-  const Duration cap = std::max<Duration>(options_.retry_backoff_max, base);
-  Duration next;
-  if (job->last_backoff <= 0) {
-    next = base;  // first retry always waits exactly the base
-  } else {
-    double grown = static_cast<double>(job->last_backoff) *
-                   std::max(options_.retry_backoff_multiplier, 1.0);
-    next = grown >= static_cast<double>(cap) ? cap
-                                             : static_cast<Duration>(grown);
-  }
-  if (options_.retry_jitter && next > base) {
-    // Decorrelated jitter (next grows from the previous *draw*, not the
-    // deterministic envelope): uniform in [base, next].
-    next = base + static_cast<Duration>(backoff_rng_.Uniform(
-                      static_cast<uint64_t>(next - base) + 1));
-  }
-  job->last_backoff = next;
-  return next;
 }
 
 void DeliveryEngine::RedriveDeadLetters() {

@@ -204,9 +204,6 @@ class DeliveryEngine {
   std::optional<PreparedJob> PrepareJob(TransferJob job);
   /// Completion callback shared by single sends and bundle items.
   SendCallback DoneCallback(TransferJob job, TimePoint started);
-  /// Next sleep for a failed job (exponential, capped, optionally
-  /// jittered); records the draw in job->last_backoff.
-  Duration NextBackoff(TransferJob* job);
   void StartJob(TransferJob job);
   void OnJobDone(TransferJob job, TimePoint started, const Status& status);
   /// Buffers (or, in legacy mode, immediately writes) the delivery

@@ -127,20 +127,6 @@ void IngestPipeline::Start() {
   receipt_thread_ = std::thread(&IngestPipeline::ReceiptLoop, this);
 }
 
-Classification IngestPipeline::ClassifyLocked(const std::string& name) {
-  // Automaton mode classifies against an immutable snapshot the worker
-  // grabs with one pointer copy — no definitions lock, so a concurrent
-  // ReviseDefinitions (which compiles a new snapshot and swaps it in)
-  // never stalls the ingest path. Other modes walk registry-owned
-  // pattern objects, so they still need the shared side of the
-  // definitions lock against the exclusive side ReviseDefinitions takes.
-  if (classifier_->mode() == FeedClassifier::IndexMode::kAutomaton) {
-    return classifier_->ClassifySnapshot(name);
-  }
-  std::shared_lock<std::shared_mutex> lock(defs_mu_);
-  return classifier_->Classify(name);
-}
-
 size_t IngestPipeline::ShardIndex(const FeedName& feed) const {
   return static_cast<size_t>(Fnv1a64(feed) % shards_.size());
 }
@@ -152,7 +138,7 @@ Status IngestPipeline::Submit(const IncomingFile& file) {
   }
   if (!threaded()) return IngestSync(file);
 
-  Classification c = ClassifyLocked(file.name);
+  Classification c = classifier_->Classify(file.name);
   if (!c.matched()) {
     unmatched_->Increment();
     if (on_unmatched_) on_unmatched_(file);
@@ -464,7 +450,7 @@ IngestPipeline::Committed IngestPipeline::BuildCommitted(
 }
 
 Status IngestPipeline::IngestSync(const IncomingFile& file) {
-  Classification c = ClassifyLocked(file.name);
+  Classification c = classifier_->Classify(file.name);
   if (!c.matched()) {
     unmatched_->Increment();
     if (on_unmatched_) on_unmatched_(file);

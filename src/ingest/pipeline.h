@@ -219,7 +219,6 @@ class IngestPipeline {
   void FinishError(const Item& item, const Status& status);
   void DrainSpillLocked();
   void EraseInFlightLocked(const std::string& landing_path);
-  Classification ClassifyLocked(const std::string& name);
   size_t ShardIndex(const FeedName& feed) const;
   ArrivalReceipt MakeReceipt(const Item& item) const;
   Committed BuildCommitted(const Item& item, const ArrivalReceipt& receipt,
@@ -242,10 +241,8 @@ class IngestPipeline {
 
   /// Guards feed definitions: the worker's registry/normalizer reads
   /// take it shared, ReviseDefinitions takes it exclusive. Classification
-  /// takes the shared side only in linear/trie modes, which probe
-  /// registry-owned Pattern objects; automaton mode classifies against an
-  /// immutable shared_ptr snapshot (ClassifySnapshot) and skips this lock
-  /// entirely.
+  /// does not take it: the classifier's compiled snapshot is immutable
+  /// and self-contained.
   mutable std::shared_mutex defs_mu_;
 
   /// Guards every queue + the in-flight set below.

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/backoff.h"
+
 namespace bistro {
 
 namespace {
@@ -579,28 +581,13 @@ void SocketTransport::MarkDisconnected(Peer* peer) {
   peer->disconnected_since = loop_->Now();
 }
 
-Duration SocketTransport::NextReconnectBackoff(Peer* peer) {
-  const Duration base = std::max<Duration>(options_.reconnect_backoff_min, 1);
-  const Duration cap = std::max<Duration>(options_.reconnect_backoff_max, base);
-  Duration next;
-  if (peer->last_backoff <= 0) {
-    next = base;
-  } else {
-    // Decorrelated jitter, same scheme as delivery retries: grow from the
-    // previous draw, jitter uniformly back toward the base.
-    Duration grown = peer->last_backoff > cap / 3 ? cap
-                                                  : peer->last_backoff * 3;
-    next = base + static_cast<Duration>(backoff_rng_.Uniform(
-                      static_cast<uint64_t>(grown - base) + 1));
-  }
-  peer->last_backoff = next;
-  return next;
-}
-
 void SocketTransport::ScheduleReconnect(const std::string& name, Peer* peer) {
   if (shut_down_ || peer->reconnect_scheduled) return;
   peer->reconnect_scheduled = true;
-  Duration backoff = NextReconnectBackoff(peer);
+  const Duration backoff = NextBackoff(
+      {options_.reconnect_backoff_min, options_.reconnect_backoff_max},
+      peer->last_backoff, &backoff_rng_);
+  peer->last_backoff = backoff;
   std::weak_ptr<bool> alive = alive_;
   loop_->PostAfter(backoff, [this, alive, name] {
     auto self = alive.lock();

@@ -40,7 +40,7 @@ namespace bistro {
 /// with the handler's StatusCode.
 ///
 /// Reconnect. A failed or dropped peer connection is retried with
-/// decorrelated-jitter backoff (same scheme as delivery retries);
+/// decorrelated-jitter backoff (common/backoff.h, as delivery retries);
 /// messages sent while disconnected queue up to `outbound_queue_bytes`
 /// and flush on connect.
 ///
@@ -235,7 +235,6 @@ class SocketTransport : public Transport {
   /// destroyed first) may no longer exist by then.
   void DetachMetrics();
   void ScheduleReconnect(const std::string& name, Peer* peer);
-  Duration NextReconnectBackoff(Peer* peer);
 
   // Wire I/O (shared by peer and inbound connections).
   /// Writes queued frames until EAGAIN or empty; adjusts POLLOUT

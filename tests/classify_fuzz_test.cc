@@ -1,8 +1,9 @@
 // Golden-equivalence fuzz suite for the compiled feed automaton: random
 // feed tables, random names (conforming fills, near-miss mutations, and
-// junk), asserting the automaton classifier produces byte-identical feed
-// sets and extracted fields to the per-pattern linear classifier — plus a
-// Classify-during-Rebuild race test meant to run under asan/tsan.
+// junk), asserting the classifier produces byte-identical feed sets and
+// extracted fields to the per-pattern linear oracle, with and without a
+// residual list — plus a Classify-during-Rebuild race test meant to run
+// under asan/tsan.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "analyzer/tokenizer.h"
 #include "classify/classifier.h"
 #include "common/random.h"
 #include "common/strings.h"
@@ -172,6 +172,16 @@ std::string Mutate(Rng& rng, std::string name) {
   return name;
 }
 
+void ExpectSameAsOracle(const FeedClassifier& classifier,
+                        const FeedRegistry& registry, const std::string& name) {
+  Classification ca = classifier.Classify(name);
+  Classification cl = ClassifyLinear(registry, name);
+  ASSERT_EQ(ca.feeds, cl.feeds) << name;
+  ASSERT_EQ(ca.primary_match.strings, cl.primary_match.strings) << name;
+  ASSERT_EQ(ca.primary_match.ints, cl.primary_match.ints) << name;
+  ASSERT_EQ(ca.primary_match.timestamp, cl.primary_match.timestamp) << name;
+}
+
 TEST(ClassifyFuzzTest, AutomatonMatchesPerPatternGoldenAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 7; ++seed) {
     SCOPED_TRACE(StrFormat("seed %llu", (unsigned long long)seed));
@@ -211,13 +221,8 @@ TEST(ClassifyFuzzTest, AutomatonMatchesPerPatternGoldenAcrossSeeds) {
     auto registry = FeedRegistry::Create(*parsed);
     ASSERT_TRUE(registry.ok()) << registry.status();
 
-    FeedClassifier automaton((*registry).get(),
-                             FeedClassifier::IndexMode::kAutomaton);
-    FeedClassifier linear((*registry).get(),
-                          FeedClassifier::IndexMode::kLinear);
-    automaton.Rebuild();
-    auto snapshot = automaton.automaton();
-    ASSERT_NE(snapshot, nullptr);
+    FeedClassifier automaton((*registry).get());
+    ASSERT_TRUE(automaton.compile_status().ok());
 
     std::vector<std::string> names;
     for (int round = 0; round < 40; ++round) {
@@ -229,83 +234,92 @@ TEST(ClassifyFuzzTest, AutomatonMatchesPerPatternGoldenAcrossSeeds) {
       names.push_back(rng.AlnumString(rng.Uniform(32)));
     }
 
-    std::vector<NameToken> fused_tokens;
     for (const std::string& name : names) {
-      Classification ca = automaton.Classify(name);
-      Classification cl = linear.Classify(name);
-      ASSERT_EQ(ca.feeds, cl.feeds) << name;
-      ASSERT_EQ(ca.primary_match.strings, cl.primary_match.strings) << name;
-      ASSERT_EQ(ca.primary_match.ints, cl.primary_match.ints) << name;
-      ASSERT_EQ(ca.primary_match.timestamp, cl.primary_match.timestamp)
-          << name;
-
-      // The fused scan's tokenization must agree with the analyzer's,
-      // and its accept decision with the plain scan's.
-      fused_tokens.clear();
-      FeedAutomaton::ScanOutcome fused =
-          snapshot->ScanAndTokenize(name, &fused_tokens);
-      FeedAutomaton::ScanOutcome plain = snapshot->Scan(name);
-      ASSERT_EQ(fused.accepts, plain.accepts) << name;
-      ASSERT_EQ(fused.verify, plain.verify) << name;
-      ASSERT_EQ(fused_tokens, TokenizeName(name)) << name;
+      ExpectSameAsOracle(automaton, **registry, name);
     }
   }
 }
 
-TEST(ClassifyFuzzTest, SnapshotClassifyRacesWithRebuild) {
+// `n` "contains this id" feeds: their subset construction grows
+// exponentially, so from ~16 of them the table breaks the compile budget.
+std::string ContainsIdFeeds(int n, const char* name_format = "DEV%02d") {
+  std::string config;
+  for (int i = 0; i < n; ++i) {
+    config += StrFormat("feed %s { pattern \"%%s_DEV%d_%%s\"; }\n",
+                        StrFormat(name_format, i).c_str(), i);
+  }
+  return config;
+}
+
+// Readers classify against whatever snapshot is current while the main
+// thread revises ALPHA and rebuilds `rebuilds` times. `extra` feeds ride
+// along unchanged; with contains-id feeds among them every snapshot has a
+// residual list, so the merge path races the swaps too.
+void RaceClassifyWithRebuild(const std::string& extra, int rebuilds) {
   auto parsed = ParseConfig(R"(
 feed ALPHA { pattern "alpha_%i.log"; }
 feed BETA  { pattern "beta_%s_%Y%m%d.csv"; }
-)");
+)" + extra);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   auto registry = FeedRegistry::Create(*parsed);
   ASSERT_TRUE(registry.ok()) << registry.status();
 
-  FeedClassifier classifier((*registry).get(),
-                            FeedClassifier::IndexMode::kAutomaton);
-  classifier.Rebuild();
+  FeedClassifier classifier((*registry).get());
+  ASSERT_TRUE(classifier.compile_status().ok()) << classifier.compile_status();
+  const bool residual = !classifier.automaton()->residual().empty();
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&classifier, &stop] {
+    readers.emplace_back([&classifier, &stop, residual] {
       while (!stop.load(std::memory_order_relaxed)) {
         // BETA never changes: every snapshot must classify it.
-        Classification beta = classifier.ClassifySnapshot("beta_x_20260808.csv");
+        Classification beta = classifier.Classify("beta_x_20260808.csv");
         ASSERT_EQ(beta.feeds, std::vector<FeedName>{"BETA"});
+        if (residual) {
+          // BETA from the DFA, then DEV03 from the residual list.
+          Classification both = classifier.Classify("beta_DEV3_20260808.csv");
+          ASSERT_EQ(both.feeds, (std::vector<FeedName>{"BETA", "DEV03"}));
+          ASSERT_EQ(both.primary_match.strings,
+                    std::vector<std::string>{"DEV3"});
+        }
         // ALPHA flips between two patterns: each snapshot matches
         // exactly one of the two spellings.
-        Classification a1 = classifier.ClassifySnapshot("alpha_7.log");
-        Classification a2 = classifier.ClassifySnapshot("gamma_7.log");
+        Classification a1 = classifier.Classify("alpha_7.log");
+        Classification a2 = classifier.Classify("gamma_7.log");
         ASSERT_LE(a1.feeds.size() + a2.feeds.size(), 2u);
-        ASSERT_TRUE(classifier.ClassifySnapshot("junk").feeds.empty());
+        ASSERT_TRUE(classifier.Classify("junk").feeds.empty());
       }
     });
   }
 
   FeedSpec spec = (*registry)->FindFeed("ALPHA")->spec;
-  for (int i = 0; i < 400; ++i) {
+  for (int i = 0; i < rebuilds; ++i) {
     spec.pattern = (i % 2 == 0) ? "gamma_%i.log" : "alpha_%i.log";
     ASSERT_TRUE((*registry)->UpdateFeed(spec).ok());
-    classifier.Rebuild();
+    ASSERT_TRUE(classifier.Rebuild().ok());
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
 
-  // Final state: i=399 restored alpha.
-  EXPECT_TRUE(classifier.ClassifySnapshot("alpha_9.log").matched());
-  EXPECT_FALSE(classifier.ClassifySnapshot("gamma_9.log").matched());
+  // The last flip decides which spelling matches.
+  const bool alpha_last = rebuilds % 2 == 0;
+  EXPECT_EQ(classifier.Classify("alpha_9.log").matched(), alpha_last);
+  EXPECT_EQ(classifier.Classify("gamma_9.log").matched(), !alpha_last);
 }
 
-// Adversarial tables: "contains this id" patterns make subset construction
-// exponential. 25 of them must be refused by the compile budget — with an
-// error naming the feeds — instead of exhausting memory.
-TEST(ClassifyFuzzTest, ContainsIdTableIsRefusedByCompileBudget) {
-  std::string config;
-  for (int i = 0; i < 25; ++i) {
-    config += StrFormat("feed DEV%02d { pattern \"%%s_DEV%d_%%s\"; }\n", i, i);
-  }
-  auto parsed = ParseConfig(config);
+TEST(ClassifyFuzzTest, SnapshotClassifyRacesWithRebuild) {
+  RaceClassifyWithRebuild("", 400);
+  // Each compile of a residual table first runs into the budget (~1.5 s
+  // in an optimized build), so this leg swaps only once.
+  RaceClassifyWithRebuild(ContainsIdFeeds(25), 1);
+}
+
+// 25 contains-id feeds break the compile budget. They move to the
+// residual list, and the table loads: an empty DFA plus 25 patterns
+// matched one by one.
+TEST(ClassifyFuzzTest, ContainsIdTableLoadsWithResidualList) {
+  auto parsed = ParseConfig(ContainsIdFeeds(25));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   auto registry = FeedRegistry::Create(*parsed);
   ASSERT_TRUE(registry.ok()) << registry.status();
@@ -313,19 +327,104 @@ TEST(ClassifyFuzzTest, ContainsIdTableIsRefusedByCompileBudget) {
   MetricsRegistry metrics;
   FeedClassifier classifier((*registry).get());
   classifier.AttachMetrics(&metrics);
-  Status status = classifier.compile_status();
-  ASSERT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
-  EXPECT_NE(status.message().find("compile budget"), std::string::npos);
-  EXPECT_NE(status.message().find("DEV00"), std::string::npos) << status;
-  EXPECT_EQ(classifier.automaton(), nullptr);
-
-  // Without a table nothing matches. The failed registry version is not
-  // recompiled on every call: a recompile would now count a failure.
-  EXPECT_FALSE(classifier.Classify("x_DEV3_y").matched());
-  EXPECT_FALSE(classifier.ClassifySnapshot("x_DEV3_y").matched());
-  EXPECT_EQ(metrics.GetCounter("bistro_classifier_compile_failures_total", "")
+  ASSERT_TRUE(classifier.compile_status().ok()) << classifier.compile_status();
+  auto snapshot = classifier.automaton();
+  EXPECT_EQ(snapshot->stats().residual_patterns, 25u);
+  EXPECT_EQ(snapshot->stats().residual_feeds, 25u);
+  EXPECT_EQ(snapshot->stats().patterns, 0u);
+  EXPECT_EQ(metrics.GetGauge("bistro_classifier_residual_patterns", "")
                 ->value(),
-            0u);
+            25);
+  EXPECT_NE(snapshot->ResidualFeedNames().find("DEV00"), std::string::npos);
+
+  Classification c = classifier.Classify("x_DEV3_y");
+  EXPECT_EQ(c.feeds, std::vector<FeedName>{"DEV03"});
+  EXPECT_EQ(c.primary_match.strings, (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(classifier.stats().candidate_checks, 25u);
+  ExpectSameAsOracle(classifier, **registry, "a_DEV1_DEV12_b_DEV7_c");
+  EXPECT_FALSE(classifier.Classify("DEV3").matched());
+}
+
+// Past kMaxResidualPatterns the residual list would cost too much per
+// file: the table is refused with an error naming the feeds.
+TEST(ClassifyFuzzTest, ContainsIdTableIsRefusedByCompileBudget) {
+  auto parsed = ParseConfig(ContainsIdFeeds(300, "DEV%03d"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto registry = FeedRegistry::Create(*parsed);
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  auto compiled = FeedAutomaton::Compile(**registry);
+  ASSERT_EQ(compiled.status().code(), StatusCode::kResourceExhausted)
+      << compiled.status();
+  const std::string& message = compiled.status().message();
+  EXPECT_NE(message.find("compile budget"), std::string::npos) << message;
+  EXPECT_NE(message.find("300 pattern(s) of 300 feed(s)"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("DEV000"), std::string::npos) << message;
+  EXPECT_NE(message.find("and 284 more"), std::string::npos) << message;
+}
+
+// The mixed table: 2,000 distinct-prefix feeds stay in the DFA while 25
+// contains-id feeds go to the residual list. Half of those sort before
+// every DFA feed and half after, so the registry-order merge is checked
+// on both sides, and a name can match DFA and residual feeds at once.
+TEST(ClassifyFuzzTest, ResidualTableMatchesLinearOracle) {
+  std::string config;
+  for (int i = 0; i < 2000; ++i) {
+    config += StrFormat("feed B%04d { pattern \"b%04d_%%s_%%i.csv\"; }\n", i,
+                        i);
+  }
+  for (int i = 0; i < 25; ++i) {
+    config += StrFormat("feed %s%02d { pattern \"%%s_DEV%d_%%s\"; }\n",
+                        i % 2 == 0 ? "A" : "Z", i, i);
+  }
+  auto parsed = ParseConfig(config);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto registry = FeedRegistry::Create(*parsed);
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  FeedClassifier classifier((*registry).get());
+  ASSERT_TRUE(classifier.compile_status().ok()) << classifier.compile_status();
+  auto snapshot = classifier.automaton();
+  EXPECT_EQ(snapshot->stats().residual_patterns, 25u);
+  EXPECT_EQ(snapshot->stats().patterns, 2000u);
+
+  // A residual feed first, then a DFA feed, then a residual feed.
+  Classification c = classifier.Classify("b0042_DEV3_DEV4_7.csv");
+  EXPECT_EQ(c.feeds, (std::vector<FeedName>{"A04", "B0042", "Z03"}));
+  EXPECT_EQ(c.primary_match.strings,
+            (std::vector<std::string>{"b0042_DEV3", "7.csv"}));
+
+  Rng rng(2025);
+  auto digits = [&rng](size_t n) {
+    std::string d;
+    for (size_t i = 0; i < n; ++i) {
+      d += static_cast<char>('0' + rng.Uniform(10));
+    }
+    return d;
+  };
+  auto dev = [&rng] { return StrFormat("DEV%d", (int)rng.Uniform(30)); };
+  for (int i = 0; i < 3000; ++i) {
+    // Long digit runs (>= 19) take the verify path, where %i overflows.
+    std::string number = digits(rng.Bernoulli(0.1) ? 19 + rng.Uniform(4)
+                                                    : 1 + rng.Uniform(6));
+    std::string feed = StrFormat("b%04d", (int)rng.Uniform(2000));
+    std::string name;
+    switch (rng.Uniform(4)) {
+      case 0:  // DFA feed only
+        name = feed + "_" + rng.AlnumString(1 + rng.Uniform(6)) + "_" + number +
+               ".csv";
+        break;
+      case 1:  // residual feed only
+        name = rng.AlnumString(1 + rng.Uniform(6)) + "_" + dev() + "_" + number;
+        break;
+      case 2:  // both, possibly several residual feeds
+        name = feed + "_" + dev() + "_" + dev() + "_" + number + ".csv";
+        break;
+      default:
+        name = Mutate(rng, feed + "_" + dev() + "_" + number + ".csv");
+        break;
+    }
+    ExpectSameAsOracle(classifier, **registry, name);
+  }
 }
 
 // The budget leaves room for the large benign tables of E14: 10^5

@@ -1,6 +1,6 @@
 // Tests for the feed classifier: correctness of file-to-feed matching,
 // multi-feed membership, unmatched routing, and equivalence of the
-// prefix-index and linear strategies.
+// compiled automaton with the linear oracle.
 
 #include <gtest/gtest.h>
 
@@ -59,29 +59,10 @@ TEST(ClassifierTest, UnmatchedFilesReported) {
   EXPECT_EQ(classifier.stats().files, 1u);
 }
 
-TEST(ClassifierTest, PrefixIndexPrunesCandidates) {
-  // Build many feeds with distinct literal prefixes; the indexed
-  // classifier should try far fewer patterns per file than linear.
-  std::string config;
-  for (int i = 0; i < 100; ++i) {
-    config += StrFormat("feed F%03d { pattern \"feed%03d_x_%%Y%%m%%d.csv\"; }\n", i, i);
-  }
-  auto registry = MustRegistry(config);
-  FeedClassifier indexed(registry.get(), FeedClassifier::IndexMode::kPrefixIndex);
-  FeedClassifier linear(registry.get(), FeedClassifier::IndexMode::kLinear);
-  auto ci = indexed.Classify("feed042_x_20101230.csv");
-  auto cl = linear.Classify("feed042_x_20101230.csv");
-  ASSERT_TRUE(ci.matched());
-  ASSERT_TRUE(cl.matched());
-  EXPECT_EQ(ci.feeds, cl.feeds);
-  EXPECT_LT(indexed.stats().candidate_checks, 5u);
-  EXPECT_EQ(linear.stats().candidate_checks, 100u);
-}
-
 TEST(ClassifierTest, IndexAndLinearAgreeOnRandomNames) {
   auto registry = MustRegistry(kConfig);
-  FeedClassifier indexed(registry.get(), FeedClassifier::IndexMode::kPrefixIndex);
-  FeedClassifier linear(registry.get(), FeedClassifier::IndexMode::kLinear);
+  // The compiled index against the linear oracle.
+  FeedClassifier indexed(registry.get());
   Rng rng(99);
   std::vector<std::string> names = {
       "CPU_POLL1_201009250502.txt",
@@ -100,7 +81,7 @@ TEST(ClassifierTest, IndexAndLinearAgreeOnRandomNames) {
   }
   for (const auto& name : names) {
     auto ci = indexed.Classify(name);
-    auto cl = linear.Classify(name);
+    auto cl = ClassifyLinear(*registry, name);
     EXPECT_EQ(ci.feeds, cl.feeds) << name;
   }
 }
@@ -132,9 +113,7 @@ feed SPECIFIC { pattern "exact_%i.gz"; }
 
 TEST(ClassifierTest, AutomatonAgreesWithLinearOnRandomNames) {
   auto registry = MustRegistry(kConfig);
-  FeedClassifier automaton(registry.get(),
-                           FeedClassifier::IndexMode::kAutomaton);
-  FeedClassifier linear(registry.get(), FeedClassifier::IndexMode::kLinear);
+  FeedClassifier automaton(registry.get());
   Rng rng(7);
   std::vector<std::string> names = {
       "CPU_POLL1_201009250502.txt",
@@ -155,7 +134,7 @@ TEST(ClassifierTest, AutomatonAgreesWithLinearOnRandomNames) {
   }
   for (const auto& name : names) {
     auto ca = automaton.Classify(name);
-    auto cl = linear.Classify(name);
+    auto cl = ClassifyLinear(*registry, name);
     EXPECT_EQ(ca.feeds, cl.feeds) << name;
     EXPECT_EQ(ca.primary_match.strings, cl.primary_match.strings) << name;
     EXPECT_EQ(ca.primary_match.ints, cl.primary_match.ints) << name;
@@ -168,23 +147,26 @@ TEST(ClassifierTest, AutomatonSkipsCandidateChecks) {
   // attempts are charged for either accepted or rejected names (the one
   // extraction probe on the primary pattern is not a candidate check).
   auto registry = MustRegistry(kConfig);
-  FeedClassifier classifier(registry.get(),
-                            FeedClassifier::IndexMode::kAutomaton);
+  FeedClassifier classifier(registry.get());
   ASSERT_TRUE(classifier.Classify("CPU_POLL1_201009250502.txt").matched());
   ASSERT_FALSE(classifier.Classify("random_junk.dat").matched());
   EXPECT_EQ(classifier.stats().candidate_checks, 0u);
 }
 
-TEST(ClassifierTest, AutomatonLazyRebuildTracksRegistryVersion) {
-  // No explicit Rebuild(): Classify notices the registry version bump
-  // and recompiles the snapshot on the next call.
+TEST(ClassifierTest, ClassifyKeepsSnapshotUntilRebuild) {
+  // Classify never recompiles: a registry revision shows only after the
+  // reviser calls Rebuild, and the snapshot records its version.
   auto registry = MustRegistry(R"(feed F { pattern "old_%i.log"; })");
-  FeedClassifier classifier(registry.get(),
-                            FeedClassifier::IndexMode::kAutomaton);
+  FeedClassifier classifier(registry.get());
   EXPECT_TRUE(classifier.Classify("old_1.log").matched());
   FeedSpec revised = registry->FindFeed("F")->spec;
   revised.pattern = "new_%i.log";
   ASSERT_TRUE(registry->UpdateFeed(revised).ok());
+  EXPECT_TRUE(classifier.Classify("old_1.log").matched());
+  EXPECT_FALSE(classifier.Classify("new_1.log").matched());
+  EXPECT_NE(classifier.automaton()->version(), registry->version());
+  ASSERT_TRUE(classifier.Rebuild().ok());
+  EXPECT_EQ(classifier.automaton()->version(), registry->version());
   EXPECT_FALSE(classifier.Classify("old_1.log").matched());
   EXPECT_TRUE(classifier.Classify("new_1.log").matched());
 }
@@ -194,14 +176,12 @@ TEST(ClassifierTest, AutomatonHandlesPercentLiteralAndPrefixlessPatterns) {
 feed PCT    { pattern "disk_%%full_%i.log"; }
 feed NOPREF { pattern "%s_POLL%i.csv"; }
 )");
-  FeedClassifier automaton(registry.get(),
-                           FeedClassifier::IndexMode::kAutomaton);
-  FeedClassifier linear(registry.get(), FeedClassifier::IndexMode::kLinear);
+  FeedClassifier automaton(registry.get());
   for (const char* name :
        {"disk_%full_9.log", "disk_full_9.log", "router_POLL3.csv",
         "a_b_POLL12.csv", "_POLL1.csv", "POLL1.csv"}) {
     auto ca = automaton.Classify(name);
-    auto cl = linear.Classify(name);
+    auto cl = ClassifyLinear(*registry, name);
     EXPECT_EQ(ca.feeds, cl.feeds) << name;
     EXPECT_EQ(ca.primary_match.strings, cl.primary_match.strings) << name;
     EXPECT_EQ(ca.primary_match.ints, cl.primary_match.ints) << name;
@@ -217,15 +197,13 @@ feed WIDE   { pattern "%s.txt"; }
 feed MID    { pattern "log_%s.txt"; }
 feed EXACT  { pattern "log_%i.txt"; }
 )");
-  FeedClassifier automaton(registry.get(),
-                           FeedClassifier::IndexMode::kAutomaton);
-  FeedClassifier linear(registry.get(), FeedClassifier::IndexMode::kLinear);
+  FeedClassifier automaton(registry.get());
   auto ca = automaton.Classify("log_42.txt");
-  auto cl = linear.Classify("log_42.txt");
+  auto cl = ClassifyLinear(*registry, "log_42.txt");
   ASSERT_EQ(ca.feeds.size(), 3u);
   EXPECT_EQ(ca.feeds, cl.feeds);
   // Extraction comes from the first matching feed's pattern, as in
-  // linear mode: WIDE's %s captures "log_42".
+  // the linear oracle: WIDE's %s captures "log_42".
   EXPECT_EQ(ca.primary_match.strings, cl.primary_match.strings);
 }
 
@@ -234,8 +212,7 @@ TEST(ClassifierTest, LongDigitRunsReverifyAgainstExactMatcher) {
   // spans whose value overflows int64. Runs of >= 19 digits trip the
   // scan's verify flag and fall back to the exact matcher.
   auto registry = MustRegistry(R"(feed F { pattern "n_%i.log"; })");
-  FeedClassifier classifier(registry.get(),
-                            FeedClassifier::IndexMode::kAutomaton);
+  FeedClassifier classifier(registry.get());
   // 25 ones: every suffix split overflows or breaks the literal tail.
   EXPECT_FALSE(
       classifier.Classify("n_1111111111111111111111111.log").matched());
@@ -247,21 +224,9 @@ TEST(ClassifierTest, LongDigitRunsReverifyAgainstExactMatcher) {
   EXPECT_GT(classifier.stats().candidate_checks, 0u);
 }
 
-TEST(ClassifierTest, IndexModeNamesRoundTrip) {
-  for (auto mode : {FeedClassifier::IndexMode::kLinear,
-                    FeedClassifier::IndexMode::kPrefixIndex,
-                    FeedClassifier::IndexMode::kAutomaton}) {
-    auto parsed = IndexModeFromName(IndexModeName(mode));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_FALSE(IndexModeFromName("bogus").ok());
-}
-
 TEST(ClassifierTest, AutomatonStatsAreExposed) {
   auto registry = MustRegistry(kConfig);
-  FeedClassifier classifier(registry.get(),
-                            FeedClassifier::IndexMode::kAutomaton);
+  FeedClassifier classifier(registry.get());
   classifier.Rebuild();
   auto snapshot = classifier.automaton();
   ASSERT_NE(snapshot, nullptr);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/backoff.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/queue.h"
@@ -389,6 +390,55 @@ TEST(BlockingQueueTest, ProducerConsumer) {
   q.Close();
   for (auto& t : consumers) t.join();
   EXPECT_EQ(sum.load(), expected);
+}
+
+// Delay sequences of the two schedules NextBackoff replaced — the
+// delivery engine's retry backoff and the socket transport's reconnect
+// backoff — captured from their last separate implementations for these
+// seeds and envelopes. Each chain feeds every delay back in as `last`.
+std::vector<Duration> BackoffChain(const BackoffPolicy& policy, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Duration> delays;
+  Duration last = 0;
+  for (int i = 0; i < 12; ++i) {
+    last = NextBackoff(policy, last, &rng);
+    delays.push_back(last);
+  }
+  return delays;
+}
+
+TEST(BackoffScheduleTest, DeliverySchedulesMatchGolden) {
+  // The engine's defaults: 5 s floor, 2 min cap, x3, jitter, seed 0x42.
+  EXPECT_EQ(BackoffChain({5 * kSecond, 2 * kMinute, 3.0, true}, 0x42),
+            (std::vector<Duration>{5000000, 7601661, 22212690, 59171523,
+                                   87591133, 119665658, 86575048, 36101430,
+                                   30585220, 65481989, 14029255, 9921577}));
+  EXPECT_EQ(BackoffChain({100 * kMillisecond, 10 * kSecond, 1.5, true}, 7),
+            (std::vector<Duration>{100000, 148069, 211594, 126454, 159878,
+                                   165162, 179625, 258960, 337490, 455624,
+                                   673880, 476895}));
+  EXPECT_EQ(BackoffChain({100 * kMillisecond, 10 * kSecond, 2.0, false}, 7),
+            (std::vector<Duration>{100000, 200000, 400000, 800000, 1600000,
+                                   3200000, 6400000, 10000000, 10000000,
+                                   10000000, 10000000, 10000000}));
+}
+
+TEST(BackoffScheduleTest, ReconnectSchedulesMatchGolden) {
+  // The socket transport's policy: its min and max, x3, always jittered.
+  auto reconnect = [](Duration min, Duration max) {
+    return BackoffPolicy{min, max};
+  };
+  EXPECT_EQ(BackoffChain(reconnect(200 * kMillisecond, 10 * kSecond), 1),
+            (std::vector<Duration>{200000, 220464, 643649, 1230420, 1889006,
+                                   4347481, 9233253, 9481291, 2657912,
+                                   7398438, 1861557, 667281}));
+  EXPECT_EQ(BackoffChain(reconnect(1 * kMillisecond, 50 * kMillisecond), 99),
+            (std::vector<Duration>{1000, 1286, 2386, 2329, 4148, 3495, 2852,
+                                   5973, 16881, 12457, 30553, 29824}));
+  // min == max: the old reconnect code drew a zero-width jitter here and
+  // NextBackoff draws nothing; the delays are the same.
+  EXPECT_EQ(BackoffChain(reconnect(10 * kMillisecond, 10 * kMillisecond), 5),
+            std::vector<Duration>(12, 10000));
 }
 
 }  // namespace

@@ -445,20 +445,16 @@ delivery {
   EXPECT_EQ(*reparsed, *config) << formatted;
 }
 
-TEST(ConfigFormatTest, ClassifierBlockRoundTrips) {
-  for (const char* mode : {"automaton", "trie", "linear"}) {
-    auto config = ParseConfig(StrFormat(
-        "feed F { pattern \"f_%%i\"; }\nclassifier { mode %s; }\n", mode));
-    ASSERT_TRUE(config.ok()) << config.status();
-    ASSERT_TRUE(config->classifier.mode.has_value());
-    EXPECT_EQ(*config->classifier.mode, mode);
-    std::string formatted = FormatConfig(*config);
-    auto reparsed = ParseConfig(formatted);
-    ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << formatted;
-    EXPECT_EQ(*reparsed, *config) << formatted;
-  }
-  EXPECT_FALSE(ParseConfig("classifier { mode hash; }").ok());
-  EXPECT_FALSE(ParseConfig("classifier { workers 2; }").ok());
+TEST(ConfigFormatTest, ClassifierBlockIsRefused) {
+  // The classifier has one engine, so the old `classifier { mode }` block
+  // is an unknown block, reported at its line and column.
+  auto config = ParseConfig(
+      "feed F { pattern \"f_%i\"; }\nclassifier { mode automaton; }\n");
+  ASSERT_FALSE(config.ok());
+  EXPECT_NE(config.status().message().find("line 2:1"), std::string::npos)
+      << config.status();
+  EXPECT_NE(config.status().message().find("classifier"), std::string::npos)
+      << config.status();
 }
 
 TEST(ConfigFormatTest, RoundTripsThroughParse) {

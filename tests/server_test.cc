@@ -7,6 +7,7 @@
 
 #include "common/strings.h"
 #include "config/parser.h"
+#include "core/admin.h"
 #include "core/server.h"
 #include "vfs/memfs.h"
 
@@ -244,12 +245,36 @@ TEST_F(ServerTest, ReviseFeedRedeliversUnderNewDefinition) {
   EXPECT_EQ(warehouse_->files_received(), 1u);
 }
 
-// 25 "contains this id" patterns: their subset construction grows
-// exponentially, far past FeedAutomaton's compile budget.
-std::vector<std::string> ContainsIdPatterns() {
+// "Contains this id" patterns: their subset construction grows
+// exponentially, so 25 of them break FeedAutomaton's compile budget and
+// go to its residual list, and the default 300 are more than the list
+// takes (kMaxResidualPatterns).
+std::vector<std::string> ContainsIdPatterns(int n = 300) {
   std::vector<std::string> patterns;
-  for (int i = 0; i < 25; ++i) patterns.push_back(StrFormat("%%s_DEV%d_%%s", i));
+  for (int i = 0; i < n; ++i) {
+    patterns.push_back(StrFormat("%%s_DEV%d_%%s", i));
+  }
   return patterns;
+}
+
+TEST_F(ServerTest, ReviseFeedIntoResidualListWarnsAndDelivers) {
+  FeedSpec revised = server_->registry()->FindFeed("SNMP.MEMORY")->spec;
+  std::vector<std::string> patterns = ContainsIdPatterns(25);
+  revised.pattern = patterns[0];
+  revised.alt_patterns.assign(patterns.begin() + 1, patterns.end());
+  ASSERT_TRUE(server_->ReviseFeed(revised).ok());
+  std::vector<LogRecord> records = sink_->TakeRecords();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].component, "classifier");
+  EXPECT_NE(records[0].message.find("25 pattern(s) of 1 feed(s)"),
+            std::string::npos)
+      << records[0].message;
+  EXPECT_NE(records[0].message.find("SNMP.MEMORY"), std::string::npos);
+  // The residual feed still classifies and delivers.
+  ASSERT_TRUE(server_->Deposit("p", "router_DEV3_20100925.csv", "m").ok());
+  loop_->RunUntilIdle();
+  EXPECT_EQ(server_->stats().files_unmatched, 0u);
+  EXPECT_EQ(warehouse_->files_received(), 1u);
 }
 
 TEST_F(ServerTest, ReviseFeedOverCompileBudgetKeepsPreviousDefinition) {
@@ -296,6 +321,50 @@ TEST(ServerCreateTest, RefusesFeedTableOverCompileBudget) {
       << server.status();
   EXPECT_NE(server.status().message().find("compile budget"),
             std::string::npos);
+}
+
+TEST(ServerCreateTest, LoadsResidualFeedsWithWarning) {
+  // 25 contains-id feeds break the compile budget but fit the residual
+  // list: the server starts, warns naming them, and the admin command and
+  // the gauge report them.
+  std::string text;
+  for (int i = 0; i < 25; ++i) {
+    text += StrFormat("feed DEV%02d { pattern \"%%s_DEV%d_%%s\"; }\n", i, i);
+  }
+  auto config = ParseConfig(text);
+  ASSERT_TRUE(config.ok()) << config.status();
+  SimClock clock(0);
+  EventLoop loop(&clock);
+  InMemoryFileSystem fs;
+  LoopbackTransport transport(&loop);
+  RecordingInvoker invoker;
+  Logger logger(&clock);
+  auto sink = std::make_shared<MemorySink>();
+  logger.AddSink(sink);
+  auto server = BistroServer::Create(BistroServer::Options(), *config, &fs,
+                                     &transport, &loop, &invoker, &logger);
+  ASSERT_TRUE(server.ok()) << server.status();
+  size_t warnings = 0;
+  for (const LogRecord& record : sink->TakeRecords()) {
+    if (record.level != LogLevel::kWarning) continue;
+    ++warnings;
+    EXPECT_EQ(record.component, "classifier");
+    EXPECT_NE(record.message.find("25 pattern(s) of 25 feed(s)"),
+              std::string::npos)
+        << record.message;
+    EXPECT_NE(record.message.find("DEV00"), std::string::npos)
+        << record.message;
+  }
+  EXPECT_EQ(warnings, 1u);
+  std::string admin = ExecuteAdminCommand(server->get(), "classifier");
+  EXPECT_NE(admin.find("residual: 25 pattern(s) of 25 feed(s)"),
+            std::string::npos)
+      << admin;
+  EXPECT_EQ((*server)
+                ->metrics()
+                ->GetGauge("bistro_classifier_residual_patterns", "")
+                ->value(),
+            25);
 }
 
 TEST_F(ServerTest, MaintenanceExpiresOldHistory) {
