@@ -55,7 +55,7 @@ void HistorySweep() {
     SimClock clock2(0);
     InMemoryFileSystem fs2(&clock2, FsCostModel::RemoteFileServer());
     EventLoop loop(&clock2);
-    LoopbackTransport transport(&loop);
+    SimTransport transport(&loop);
     CallbackInvoker invoker;
     Logger logger(&clock2);
     auto config = ParseConfig(R"(

@@ -47,7 +47,7 @@ subscriber warehouse {
   LocalFileSystem fs;
   RealClock clock;
   EventLoop loop(&clock);
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   CallbackInvoker invoker;
   Logger logger(&clock);
   logger.AddSink(std::make_shared<StderrSink>());

@@ -25,7 +25,7 @@ int main() {
   SimClock clock(start);
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   CallbackInvoker invoker;
   Logger logger(&clock);
   logger.SetMinLevel(LogLevel::kWarning);

@@ -100,13 +100,10 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
   }
   BISTRO_RETURN_IF_ERROR(fs->MkDirs(server->options_.landing_root));
   BISTRO_RETURN_IF_ERROR(fs->MkDirs(server->options_.staging_root));
-  int shards = server->options_.receipt_shards > 0
-                   ? server->options_.receipt_shards
-                   : config.receipts.shards.value_or(1);
   BISTRO_ASSIGN_OR_RETURN(
       server->receipts_,
       ReceiptDatabase::Open(fs, server->options_.db_dir, server->options_.kv,
-                            shards));
+                            config.receipts.shards.value_or(1)));
   server->receipts_->AttachMetrics(server->metrics_);
   server->classifier_ =
       std::make_unique<FeedClassifier>(server->registry_.get());

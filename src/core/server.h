@@ -68,11 +68,9 @@ class BistroServer : public Endpoint {
     /// staging_root/sync_staging/spill_path are overwritten from this
     /// struct's own fields at Create time.
     IngestPipeline::Options ingest;
-    /// Receipt-database tuning (e.g. sync_wal for crash consistency).
+    /// Receipt-database tuning (e.g. sync_wal for crash consistency). The
+    /// shard count comes from the config's `receipts { shards N; }`.
     KvStore::Options kv;
-    /// Receipt-database shard count. 0 = take the config file's
-    /// `receipts { shards N; }` (default 1). See ReceiptDatabase::Open.
-    int receipt_shards = 0;
     /// fsync each staged file before recording its arrival receipt, so a
     /// receipt never points at bytes a crash can take away. Off by
     /// default; chaos/crash tests and durable deployments enable it.

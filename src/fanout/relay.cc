@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/backoff.h"
 #include "common/hash.h"
 #include "common/strings.h"
 
@@ -137,27 +138,26 @@ void RelayNode::OnChildResult(uint64_t seq, const std::string& child,
   entry.inflight.erase(child);
   if (!status.ok()) {
     if (m_retries_ != nullptr) m_retries_->Increment();
-    int attempts = ++entry.attempts[child];
-    // Linear backoff; after max_attempts drop to a 10x slow sweep. The
-    // relay never abandons a spooled file — the upstream already got its
-    // ack, so giving up here would break exactly-once.
-    Duration delay = attempts >= options_.max_attempts
-                         ? options_.retry_backoff * 10
-                         : options_.retry_backoff * attempts;
-    if (attempts == options_.max_attempts) {
+    Retry& retry = entry.retries[child];
+    // The relay never abandons a spooled file — the upstream already got
+    // its ack, so giving up here would break exactly-once.
+    retry.last_delay = NextBackoff({options_.retry_backoff,
+                                    10 * options_.retry_backoff, 3.0, true},
+                                   retry.last_delay, &rng_);
+    if (++retry.attempts == options_.max_attempts) {
       logger_->Warning("fanout", "relay " + name_ + " child " + child +
                                      " unreachable after " +
-                                     std::to_string(attempts) +
+                                     std::to_string(retry.attempts) +
                                      " attempts; slow-sweeping");
     }
     std::shared_ptr<bool> alive = alive_;
-    loop_->PostAfter(delay, [this, alive, seq] {
+    loop_->PostAfter(retry.last_delay, [this, alive, seq] {
       if (*alive) Forward(seq);
     });
     return;
   }
   entry.waiting.erase(child);
-  entry.attempts.erase(child);
+  entry.retries.erase(child);
   ++forwarded_;
   if (m_forwarded_ != nullptr) m_forwarded_->Increment();
   PersistWaiting(seq, entry);

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
+#include "common/random.h"
 #include "config/spec.h"
 #include "kv/kvstore.h"
 #include "net/transport.h"
@@ -40,10 +42,11 @@ class RelayNode : public Endpoint {
     Options() {}
     /// Spool directory (a KvStore root).
     std::string spool_dir = "/bistro/relay";
-    /// Delay before re-sending to a failed child; grows linearly with
-    /// the per-child attempt count, capped at 10x once a child has
-    /// failed `max_attempts` times (slow-sweep mode — the relay never
-    /// gives a file up while it stays in the history window).
+    /// First delay before re-sending to a failed child. Later delays
+    /// follow NextBackoff (x3, jittered) up to a 10x cap, per (entry,
+    /// child). After `max_attempts` failures the relay warns that the
+    /// child is slow-swept; it never gives a file up while the file stays
+    /// in the history window.
     Duration retry_backoff = 2 * kSecond;
     int max_attempts = 8;
     KvStore::Options kv;
@@ -81,13 +84,18 @@ class RelayNode : public Endpoint {
         transport_(transport),
         loop_(loop),
         logger_(logger),
-        options_(options) {}
+        options_(options),
+        rng_(Fnv1a64(name_)) {}
 
+  struct Retry {
+    int attempts = 0;
+    Duration last_delay = 0;
+  };
   struct Entry {
     Message msg;
     std::set<std::string> waiting;   // children not yet acked
     std::set<std::string> inflight;  // children with a send outstanding
-    std::map<std::string, int> attempts;
+    std::map<std::string, Retry> retries;
   };
 
   Status Recover();
@@ -102,6 +110,7 @@ class RelayNode : public Endpoint {
   EventLoop* loop_;
   Logger* logger_;
   Options options_;
+  Rng rng_;  // retry jitter, seeded from the relay name
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   std::unique_ptr<KvStore> spool_;
   uint64_t seq_ = 0;

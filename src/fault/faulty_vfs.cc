@@ -21,6 +21,7 @@ Status FaultyFileSystem::WriteFile(const std::string& path,
     // a committed WAL prefix, say — stays fully intact.
     return Status::IoError("injected torn write: " + path);
   }
+  std::lock_guard<std::mutex> lock(mu_);
   Status s = base_->WriteFile(path, data);
   // A full rewrite resets append-durability tracking for the path.
   if (s.ok()) synced_len_.erase(path);
@@ -34,6 +35,7 @@ Status FaultyFileSystem::AppendFile(const std::string& path,
   }
   // Record the durable baseline before the first tracked append, so a
   // crash can roll back to it.
+  std::lock_guard<std::mutex> lock(mu_);
   uint64_t durable = DurableLength(path);
   if (injector_->InjectTornWrite(path)) {
     (void)base_->AppendFile(path, data.substr(0, data.size() / 2));
@@ -49,6 +51,7 @@ Status FaultyFileSystem::Rename(const std::string& from, const std::string& to) 
   if (injector_->InjectWriteError(to)) {
     return Status::IoError("injected rename error: " + to);
   }
+  std::lock_guard<std::mutex> lock(mu_);
   Status s = base_->Rename(from, to);
   if (s.ok()) {
     synced_len_.erase(from);
@@ -58,6 +61,7 @@ Status FaultyFileSystem::Rename(const std::string& from, const std::string& to) 
 }
 
 Status FaultyFileSystem::Delete(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
   Status s = base_->Delete(path);
   if (s.ok()) synced_len_.erase(path);
   return s;
@@ -67,6 +71,7 @@ Status FaultyFileSystem::Sync(const std::string& path) {
   if (injector_->InjectSyncError(path)) {
     return Status::IoError("injected sync error: " + path);
   }
+  std::lock_guard<std::mutex> lock(mu_);
   BISTRO_RETURN_IF_ERROR(base_->Sync(path));
   auto it = synced_len_.find(path);
   if (it != synced_len_.end()) {
@@ -77,6 +82,7 @@ Status FaultyFileSystem::Sync(const std::string& path) {
 }
 
 Status FaultyFileSystem::SimulateCrash() {
+  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [path, durable] : synced_len_) {
     auto data = base_->ReadFile(path);
     if (!data.ok()) continue;  // deleted since; nothing to roll back

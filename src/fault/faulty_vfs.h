@@ -2,6 +2,7 @@
 #define BISTRO_FAULT_FAULTY_VFS_H_
 
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "fault/injector.h"
@@ -62,13 +63,17 @@ class FaultyFileSystem : public FileSystem {
  private:
   /// Durable length of `path` right now: the synced length if tracked,
   /// otherwise the file's current size (pre-existing bytes count as
-  /// durable — they were there before we started injecting).
+  /// durable — they were there before we started injecting). Caller
+  /// holds mu_.
   uint64_t DurableLength(const std::string& path);
 
   FileSystem* base_;
   FaultInjector* injector_;
+  /// Held across each mutation and its bookkeeping update: ingest
+  /// workers, the receipt thread and the loop thread share the map.
+  std::mutex mu_;
   /// path -> durable (synced) length, for files touched by AppendFile.
-  std::map<std::string, uint64_t> synced_len_;
+  std::map<std::string, uint64_t> synced_len_;  // guarded by mu_
 };
 
 }  // namespace bistro

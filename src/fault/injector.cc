@@ -31,54 +31,46 @@ bool FaultInjector::InScope(const std::string& path) const {
   return scope.empty() || path.compare(0, scope.size(), scope) == 0;
 }
 
-bool FaultInjector::InjectWriteError(const std::string& path) {
-  if (!InScope(path) || !rng_.Bernoulli(plan_.vfs.write_error_prob)) {
-    return false;
+bool FaultInjector::Fire(double prob, Counter* counter) {
+  {
+    std::lock_guard<std::mutex> lock(rng_mu_);
+    if (!rng_.Bernoulli(prob)) return false;
   }
-  vfs_write_errors_->Increment();
+  counter->Increment();
   return true;
+}
+
+bool FaultInjector::InjectWriteError(const std::string& path) {
+  return InScope(path) && Fire(plan_.vfs.write_error_prob, vfs_write_errors_);
 }
 
 bool FaultInjector::InjectTornWrite(const std::string& path) {
-  if (!InScope(path) || !rng_.Bernoulli(plan_.vfs.torn_write_prob)) {
-    return false;
-  }
-  vfs_torn_writes_->Increment();
-  return true;
+  return InScope(path) && Fire(plan_.vfs.torn_write_prob, vfs_torn_writes_);
 }
 
 bool FaultInjector::InjectSyncError(const std::string& path) {
-  if (!InScope(path) || !rng_.Bernoulli(plan_.vfs.sync_error_prob)) {
-    return false;
-  }
-  vfs_sync_errors_->Increment();
-  return true;
+  return InScope(path) && Fire(plan_.vfs.sync_error_prob, vfs_sync_errors_);
 }
 
-bool FaultInjector::InjectSendFailure(const std::string& endpoint) {
-  (void)endpoint;
-  if (!rng_.Bernoulli(plan_.net.send_failure_prob)) return false;
-  net_send_failures_->Increment();
-  return true;
+bool FaultInjector::InjectSendFailure(const std::string&) {
+  return Fire(plan_.net.send_failure_prob, net_send_failures_);
 }
 
-bool FaultInjector::InjectCorruption(const std::string& endpoint) {
-  (void)endpoint;
-  if (!rng_.Bernoulli(plan_.net.corrupt_prob)) return false;
-  net_corruptions_->Increment();
-  return true;
+bool FaultInjector::InjectCorruption(const std::string&) {
+  return Fire(plan_.net.corrupt_prob, net_corruptions_);
 }
 
-bool FaultInjector::InjectAckLoss(const std::string& endpoint) {
-  (void)endpoint;
-  if (!rng_.Bernoulli(plan_.net.ack_loss_prob)) return false;
-  net_ack_losses_->Increment();
-  return true;
+bool FaultInjector::InjectAckLoss(const std::string&) {
+  return Fire(plan_.net.ack_loss_prob, net_ack_losses_);
 }
 
 void FaultInjector::CorruptPayload(std::string* payload) {
   if (payload->empty()) return;
-  size_t at = static_cast<size_t>(rng_.Uniform(payload->size()));
+  size_t at = 0;
+  {
+    std::lock_guard<std::mutex> lock(rng_mu_);
+    at = static_cast<size_t>(rng_.Uniform(payload->size()));
+  }
   // XOR with a nonzero mask guarantees the byte actually changes.
   (*payload)[at] = static_cast<char>((*payload)[at] ^ 0x5A);
 }

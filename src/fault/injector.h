@@ -2,6 +2,7 @@
 #define BISTRO_FAULT_INJECTOR_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/random.h"
@@ -16,7 +17,8 @@ namespace bistro {
 /// from it, and the injection counters. FaultyFileSystem and
 /// FaultyTransport consult it per operation; Arm() schedules the plan's
 /// link flaps and applies degradations. One injector + one seed =>
-/// one reproducible fault sequence.
+/// one reproducible fault sequence. Thread-safe: ingest workers, the
+/// receipt thread and the loop thread all draw from the one Rng.
 class FaultInjector {
  public:
   /// `metrics` may be null: the injector then owns a private registry so
@@ -24,7 +26,6 @@ class FaultInjector {
   explicit FaultInjector(FaultPlan plan, MetricsRegistry* metrics = nullptr);
 
   const FaultPlan& plan() const { return plan_; }
-  Rng* rng() { return &rng_; }
 
   /// Applies the plan's scheduled network events: degradations now, flap
   /// down/up transitions posted on the loop. Call once after links exist.
@@ -48,9 +49,12 @@ class FaultInjector {
 
  private:
   bool InScope(const std::string& path) const;
+  /// One Bernoulli(`prob`) draw under the Rng lock; counts a fired fault.
+  bool Fire(double prob, Counter* counter);
 
   FaultPlan plan_;
-  Rng rng_;
+  std::mutex rng_mu_;
+  Rng rng_;  // guarded by rng_mu_
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   Counter* vfs_write_errors_;
   Counter* vfs_torn_writes_;

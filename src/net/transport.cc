@@ -36,84 +36,18 @@ void Transport::SendBundle(const std::string& endpoint,
   }
 }
 
-void LoopbackTransport::Register(const std::string& name, Endpoint* endpoint) {
-  endpoints_[name] = endpoint;
+namespace {
+
+// Decodes what Send (one message) or SendBundle (a bundle) framed.
+Result<std::vector<Message>> DecodeFrame(std::string_view wire, bool bundle) {
+  if (bundle) return DecodeBundle(wire);
+  BISTRO_ASSIGN_OR_RETURN(Message msg, DecodeMessage(wire));
+  std::vector<Message> one;
+  one.push_back(std::move(msg));
+  return one;
 }
 
-void LoopbackTransport::Unregister(const std::string& name) {
-  endpoints_.erase(name);
-}
-
-void LoopbackTransport::Send(const std::string& endpoint, const Message& msg,
-                             SendCallback done) {
-  CountSend(msg.payload.size());
-  auto it = endpoints_.find(endpoint);
-  if (it == endpoints_.end()) {
-    loop_->Post([this, done, endpoint] {
-      Status s = Status::Unavailable("no endpoint: " + endpoint);
-      CountOutcome(s);
-      done(s);
-    });
-    return;
-  }
-  Endpoint* ep = it->second;
-  // Round-trip through the wire encoding so the protocol layer is
-  // exercised even in-process.
-  std::string wire = EncodeMessage(msg);
-  loop_->Post([this, ep, wire = std::move(wire), done] {
-    auto decoded = DecodeMessage(wire);
-    if (!decoded.ok()) {
-      CountOutcome(decoded.status());
-      done(decoded.status());
-      return;
-    }
-    Status s = ep->HandleMessage(*decoded);
-    CountOutcome(s);
-    done(s);
-  });
-}
-
-void LoopbackTransport::SendBundle(const std::string& endpoint,
-                                   std::vector<BundleItem> items) {
-  std::vector<Message> msgs;
-  std::vector<SendCallback> dones;
-  msgs.reserve(items.size());
-  dones.reserve(items.size());
-  for (BundleItem& item : items) {
-    CountSend(item.msg.payload.size());
-    msgs.push_back(std::move(item.msg));
-    dones.push_back(std::move(item.done));
-  }
-  auto it = endpoints_.find(endpoint);
-  if (it == endpoints_.end()) {
-    loop_->Post([this, endpoint, dones = std::move(dones)] {
-      Status s = Status::Unavailable("no endpoint: " + endpoint);
-      for (const SendCallback& done : dones) {
-        CountOutcome(s);
-        done(s);
-      }
-    });
-    return;
-  }
-  Endpoint* ep = it->second;
-  std::string wire = EncodeBundle(msgs);
-  loop_->Post([this, ep, wire = std::move(wire), dones = std::move(dones)] {
-    auto decoded = DecodeBundle(wire);
-    if (!decoded.ok()) {
-      for (const SendCallback& done : dones) {
-        CountOutcome(decoded.status());
-        done(decoded.status());
-      }
-      return;
-    }
-    for (size_t i = 0; i < dones.size(); ++i) {
-      Status s = i < decoded->size() ? ep->HandleMessage((*decoded)[i])
-                                     : Status::Corruption("bundle: short");
-      CountOutcome(s);
-      dones[i](s);
-    }
-  });
-}
+}  // namespace
 
 void SimTransport::Register(const std::string& name, Endpoint* endpoint) {
   endpoints_[name] = endpoint;
@@ -126,41 +60,10 @@ void SimTransport::Unregister(const std::string& name) {
 void SimTransport::Send(const std::string& endpoint, const Message& msg,
                         SendCallback done) {
   CountSend(msg.payload.size());
-  uint64_t bytes = msg.payload.size() + msg.name.size() + 64;
-  auto completion = network_->ScheduleTransfer(endpoint, bytes, loop_->Now());
-  if (!completion.ok()) {
-    // Failure surfaces after the link latency it burned (if the link is
-    // known) or immediately (unknown/offline).
-    loop_->Post([this, done, status = completion.status()] {
-      CountOutcome(status);
-      done(status);
-    });
-    return;
-  }
-  std::string wire = EncodeMessage(msg);
-  // The endpoint resolves at DELIVERY time, not send time: a receiver
-  // that is replaced (or torn down by a crash) mid-flight gets the
-  // message at its current incarnation, or an Unavailable bounce.
-  loop_->PostAt(*completion,
-                [this, endpoint, wire = std::move(wire), done] {
-    auto it = endpoints_.find(endpoint);
-    Endpoint* ep = it == endpoints_.end() ? nullptr : it->second;
-    if (ep == nullptr) {
-      Status s = Status::Unavailable("no endpoint: " + endpoint);
-      CountOutcome(s);
-      done(s);
-      return;
-    }
-    auto decoded = DecodeMessage(wire);
-    if (!decoded.ok()) {
-      CountOutcome(decoded.status());
-      done(decoded.status());
-      return;
-    }
-    Status s = ep->HandleMessage(*decoded);
-    CountOutcome(s);
-    done(s);
-  });
+  std::vector<SendCallback> dones;
+  dones.push_back(std::move(done));
+  Transmit(endpoint, msg.payload.size() + msg.name.size() + 64,
+           /*bundle=*/false, EncodeMessage(msg), std::move(dones));
 }
 
 void SimTransport::SendBundle(const std::string& endpoint,
@@ -180,36 +83,42 @@ void SimTransport::SendBundle(const std::string& endpoint,
     msgs.push_back(std::move(item.msg));
     dones.push_back(std::move(item.done));
   }
-  auto completion = network_->ScheduleTransfer(endpoint, bytes, loop_->Now());
-  if (!completion.ok()) {
-    loop_->Post([this, dones = std::move(dones), status = completion.status()] {
-      for (const SendCallback& done : dones) {
-        CountOutcome(status);
-        done(status);
-      }
-    });
-    return;
+  Transmit(endpoint, bytes, /*bundle=*/true, EncodeBundle(msgs),
+           std::move(dones));
+}
+
+void SimTransport::Transmit(const std::string& endpoint, uint64_t link_bytes,
+                            bool bundle, std::string wire,
+                            std::vector<SendCallback> dones) {
+  auto fail_all = [this](const std::vector<SendCallback>& dones,
+                         const Status& status) {
+    for (const SendCallback& done : dones) {
+      CountOutcome(status);
+      done(status);
+    }
+  };
+  TimePoint due = loop_->Now();
+  if (network_ != nullptr) {
+    auto completion = network_->ScheduleTransfer(endpoint, link_bytes, due);
+    if (!completion.ok()) {
+      // An unknown or offline link fails the send on the next loop turn.
+      loop_->Post([fail_all, dones = std::move(dones),
+                   status = completion.status()] { fail_all(dones, status); });
+      return;
+    }
+    due = *completion;
   }
-  std::string wire = EncodeBundle(msgs);
-  // Delivery-time endpoint resolution, as in Send above.
-  loop_->PostAt(*completion, [this, endpoint, wire = std::move(wire),
-                              dones = std::move(dones)] {
+  loop_->PostAt(due, [this, fail_all, endpoint, bundle, wire = std::move(wire),
+                      dones = std::move(dones)] {
     auto it = endpoints_.find(endpoint);
     Endpoint* ep = it == endpoints_.end() ? nullptr : it->second;
     if (ep == nullptr) {
-      Status s = Status::Unavailable("no endpoint: " + endpoint);
-      for (const SendCallback& done : dones) {
-        CountOutcome(s);
-        done(s);
-      }
+      fail_all(dones, Status::Unavailable("no endpoint: " + endpoint));
       return;
     }
-    auto decoded = DecodeBundle(wire);
+    auto decoded = DecodeFrame(wire, bundle);
     if (!decoded.ok()) {
-      for (const SendCallback& done : dones) {
-        CountOutcome(decoded.status());
-        done(decoded.status());
-      }
+      fail_all(dones, decoded.status());
       return;
     }
     for (size_t i = 0; i < dones.size(); ++i) {
@@ -223,6 +132,7 @@ void SimTransport::SendBundle(const std::string& endpoint,
 
 Duration SimTransport::EstimateCost(const std::string& endpoint,
                                     uint64_t bytes) const {
+  if (network_ == nullptr) return 0;
   auto d = network_->TransferDuration(endpoint, bytes);
   return d.ok() ? *d : 0;
 }

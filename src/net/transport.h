@@ -41,8 +41,8 @@ struct BundleItem {
 /// Abstract message transport from the server to named endpoints.
 ///
 /// Send is asynchronous: the callback fires when the transfer completes
-/// (or fails). Implementations define what "the wire" is — a simulated
-/// WAN, or an in-process call for live local deployments.
+/// (or fails). Implementations define what "the wire" is — TCP, a
+/// simulated WAN, or an in-process call.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -83,41 +83,24 @@ class Transport {
   Counter* bytes_sent_ = nullptr;
 };
 
-/// In-process transport: messages are encoded, decoded and handed to the
-/// registered Endpoint synchronously via the event loop. Used by the
-/// examples and integration tests (substitutes for real sockets; the
-/// protocol layer is still exercised byte-for-byte).
-class LoopbackTransport : public Transport {
- public:
-  explicit LoopbackTransport(EventLoop* loop) : loop_(loop) {}
-
-  void Register(const std::string& name, Endpoint* endpoint);
-  void Unregister(const std::string& name);
-
-  void Send(const std::string& endpoint, const Message& msg,
-            SendCallback done) override;
-  void SendBundle(const std::string& endpoint,
-                  std::vector<BundleItem> items) override;
-  Duration EstimateCost(const std::string&, uint64_t) const override {
-    return 0;
-  }
-
- private:
-  EventLoop* loop_;
-  std::map<std::string, Endpoint*> endpoints_;
-};
-
-/// Simulated-WAN transport: consults a SimNetwork for link capacity,
-/// failures and offline subscribers, and delivers the message to the
-/// endpoint at the simulated completion time.
+/// The in-process and simulated-WAN transport. Every send round-trips
+/// through the frame codec and is handed to the registered Endpoint on
+/// the event loop; the endpoint resolves at delivery time, so a receiver
+/// unregistered (or replaced) mid-flight bounces the message with
+/// Unavailable (or gets it at its current incarnation).
+///
+/// With a SimNetwork, link capacity, failures and offline subscribers
+/// decide when (and whether) a message arrives. Without one, the wire is
+/// in-process: delivery is one loop post and never fails; the examples
+/// and most tests run on it.
 class SimTransport : public Transport {
  public:
-  SimTransport(EventLoop* loop, SimNetwork* network)
+  explicit SimTransport(EventLoop* loop, SimNetwork* network = nullptr)
       : loop_(loop), network_(network) {}
 
   void Register(const std::string& name, Endpoint* endpoint);
-  /// Takes the endpoint off the wire: messages in flight to it (resolved
-  /// at delivery time) bounce with Unavailable, as for a crashed process.
+  /// Takes the endpoint off the wire: messages in flight to it bounce
+  /// with Unavailable, as for a crashed process.
   void Unregister(const std::string& name);
 
   void Send(const std::string& endpoint, const Message& msg,
@@ -128,6 +111,14 @@ class SimTransport : public Transport {
                         uint64_t bytes) const override;
 
  private:
+  /// Schedules one frame of `link_bytes` on the link to `endpoint` and,
+  /// at its completion time, decodes `wire` (a bundle frame when
+  /// `bundle`) and hands each message to the endpoint, firing the
+  /// matching callback in `dones`.
+  void Transmit(const std::string& endpoint, uint64_t link_bytes,
+                bool bundle, std::string wire,
+                std::vector<SendCallback> dones);
+
   EventLoop* loop_;
   SimNetwork* network_;
   std::map<std::string, Endpoint*> endpoints_;

@@ -6,19 +6,26 @@
 //
 //   every deposited file that matches a feed reaches every subscriber of
 //   that feed exactly once (no loss, no double-landing), the recomputed
-//   delivery queues drain empty, and the injected-fault / dead-letter
-//   counters are visible in the Prometheus export.
+//   delivery queues drain empty, the receipt database reopened cold holds
+//   each file once with its bytes intact, and the injected-fault /
+//   dead-letter counters are visible in the Prometheus export.
 //
 // Sources retry failed deposits (a cooperating source re-notifies when
 // the server errors) and stash deposits attempted while the server is
 // down, mirroring how real feeds behave across a feed-manager outage.
 //
-// The CI chaos job shifts the seed window via BISTRO_CHAOS_SEED_BASE so
-// different matrix legs explore different fault plans.
+// Every scenario runs in one shared world (ChaosWorld) and states only
+// what differs. The CI chaos job shifts the seed window via
+// BISTRO_CHAOS_SEED_BASE so different matrix legs explore different
+// fault plans.
 
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,10 +34,11 @@
 #include "common/strings.h"
 #include "config/parser.h"
 #include "core/server.h"
-#include "fault/faulty_transport.h"
-#include "fault/faulty_vfs.h"
+#include "exactly_once.h"
 #include "fanout/group.h"
 #include "fanout/relay.h"
+#include "fault/faulty_transport.h"
+#include "fault/faulty_vfs.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "obs/export.h"
@@ -44,189 +52,252 @@ int SeedBase() {
   return env == nullptr ? 0 : std::atoi(env);
 }
 
-class ChaosE2ETest : public ::testing::TestWithParam<int> {};
+/// One scenario's seed derivations. Each scenario keeps its own, so a
+/// (scenario, seed) pair always replays the same fault plan.
+struct ScenarioSeeds {
+  uint64_t scenario;  // fault probabilities and traffic
+  uint64_t plan;      // the injector's per-operation draws
+  uint64_t net;       // the simulated WAN
+};
 
-TEST_P(ChaosE2ETest, ExactlyOnceDeliveryUnderFaultsAndCrash) {
-  const int seed = SeedBase() + GetParam();
-  Rng scenario_rng(static_cast<uint64_t>(seed) * 31337 + 7);
-
-  // ---- Fault plan: moderate, seed-scaled probabilities everywhere.
-  FaultPlan plan;
-  plan.seed = static_cast<uint64_t>(seed) * 97 + 5;
-  plan.vfs.write_error_prob = scenario_rng.NextDouble() * 0.03;
-  plan.vfs.torn_write_prob = scenario_rng.NextDouble() * 0.03;
-  plan.vfs.sync_error_prob = scenario_rng.NextDouble() * 0.02;
-  plan.vfs.scope = "";  // everything: landing, staging, receipt DB
-  plan.net.send_failure_prob = scenario_rng.NextDouble() * 0.15;
-  plan.net.corrupt_prob = scenario_rng.NextDouble() * 0.08;
-  plan.net.ack_loss_prob = scenario_rng.NextDouble() * 0.05;
-
-  const TimePoint start = FromCivil(CivilTime{2010, 9, 25});
-  LinkFlap flap;
-  flap.endpoint = "sub0";
-  flap.down_at = start + 10 * kMinute;
-  flap.up_at = start + 25 * kMinute;
-  plan.net.flaps.push_back(flap);
-  LinkDegrade degrade;
-  degrade.endpoint = "sub1";
-  degrade.factor = 2.0;
-  plan.net.degrades.push_back(degrade);
-
-  // ---- World: sim clock/loop, faulty FS over memfs, faulty transport
-  // over a simulated WAN.
-  SimClock clock(start);
-  EventLoop loop(&clock);
-  MetricsRegistry registry;
-  InMemoryFileSystem base_fs;
-  FaultInjector injector(plan, &registry);
-  FaultyFileSystem fs(&base_fs, &injector);
-  Rng net_rng(static_cast<uint64_t>(seed) * 101 + 3);
-  SimNetwork network(&net_rng);
-  SimTransport sim_transport(&loop, &network);
-  FaultyTransport transport(&sim_transport, &loop, &injector);
-  CallbackInvoker invoker;
-  Logger logger(&clock);
-  logger.SetMinLevel(LogLevel::kAlarm);
-
-  constexpr int kNumFeeds = 2;
-  constexpr int kNumSubs = 3;
-  auto config = ParseConfig(R"(
+constexpr char kTwoFeeds[] = R"(
 feed FEEDA { pattern "feeda_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
 feed FEEDB { pattern "feedb_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
+)";
+
+constexpr char kThreeSubscribers[] = R"(
 subscriber sub0 { feeds FEEDA, FEEDB; method push; }
 subscriber sub1 { feeds FEEDA; method push; }
 subscriber sub2 { feeds FEEDB; method push; }
-)");
-  ASSERT_TRUE(config.ok()) << config.status();
-  const std::vector<std::vector<int>> subscriptions = {{0, 1}, {0}, {1}};
+)";
 
-  std::vector<std::unique_ptr<InMemoryFileSystem>> sub_fs;
-  std::vector<std::unique_ptr<FileSinkEndpoint>> sinks;
-  for (int s = 0; s < kNumSubs; ++s) {
-    network.SetLink(StrFormat("sub%d", s), LinkSpec::Fast());
-    sub_fs.push_back(std::make_unique<InMemoryFileSystem>());
-    sinks.push_back(
-        std::make_unique<FileSinkEndpoint>(sub_fs.back().get(), "/recv"));
-    sim_transport.Register(StrFormat("sub%d", s), sinks.back().get());
+/// A subscriber-side file sink on its own filesystem.
+struct Sink {
+  InMemoryFileSystem fs;
+  FileSinkEndpoint endpoint{&fs, "/recv"};
+};
+
+/// The world every chaos scenario shares:
+///  - a seeded fault plan: moderate, seed-scaled probabilities on every
+///    path (landing, staging, receipt DB, spools) and every send, sub0's
+///    link down from +10m to +25m, and optionally sub1's link 2x slower;
+///  - a sim clock and loop, a faulty FS over memfs, and a faulty
+///    transport over a simulated WAN;
+///  - crash-consistent server options with patient retries;
+///  - cooperating sources: retry a failed deposit after 10 s, stash
+///    deposits while the server is down and re-deposit after restart (a
+///    failed Deposit leaves no arrival receipt, so this cannot
+///    double-deliver);
+///  - ~80 matching files over one simulated hour, a crash at +30m (the
+///    server dies and unsynced bytes evaporate) and a reboot at +32m that
+///    recovers from the crash-consistent receipt database.
+///
+/// Use: construct, add sinks and adjust `opts`, Start(), post any
+/// scenario-specific events, Run(), then audit.
+class ChaosWorld {
+ public:
+  ChaosWorld(int seed, const ScenarioSeeds& seeds, bool degrade_sub1)
+      : seed(seed),
+        scenario_rng(seeds.scenario),
+        injector(MakePlan(seeds.plan, degrade_sub1), &registry),
+        fs(&base_fs, &injector),
+        net_rng(seeds.net),
+        network(&net_rng),
+        sim_transport(&loop, &network),
+        transport(&sim_transport, &loop, &injector),
+        logger(&clock) {
+    // The plan goes into the test report, so a failing seed's exact plan
+    // can be replayed from the XML output.
+    ::testing::Test::RecordProperty("fault_plan",
+                                    FormatFaultPlan(injector.plan()));
+    logger.SetMinLevel(LogLevel::kAlarm);
+    opts.kv.sync_wal = true;
+    opts.sync_staging = true;
+    opts.metrics = &registry;
+    opts.delivery.retry_backoff = 2 * kSecond;
+    opts.delivery.retry_backoff_max = 30 * kSecond;
+    opts.delivery.probe_interval = 20 * kSecond;
+    opts.delivery.max_attempts = 100000;  // chaos must not drop files
+    opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
   }
-  injector.Arm(&loop, &network);  // schedule the flap, apply the degrade
 
-  // ---- Server options: crash-consistent durability + patient retries.
+  /// A sink on the wire under `name`, on a fast link.
+  void AddSink(const std::string& name) {
+    NewSink(name);
+    network.SetLink(name, LinkSpec::Fast());
+    sim_transport.Register(name, &sinks[name]->endpoint);
+  }
+
+  /// A sink the scenario wires itself (group members).
+  void NewSink(const std::string& name) {
+    sinks[name] = std::make_unique<Sink>();
+  }
+
+  /// Parses the config, arms the plan's link events and boots the server.
+  void Start(const std::string& config_text) {
+    auto parsed = ParseConfig(config_text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    config = std::move(*parsed);
+    injector.Arm(&loop, &network);
+    ASSERT_NO_FATAL_FAILURE(Boot(false));
+    ASSERT_NE(server, nullptr);
+  }
+
+  /// Posts the traffic, the crash and the reboot, and runs the loop far
+  /// past the traffic so retries, probes and backfills settle.
+  void Run() {
+    const int num_files = 60 + static_cast<int>(scenario_rng.Uniform(40));
+    for (int i = 0; i < num_files; ++i) {
+      TimePoint t = start + static_cast<Duration>(scenario_rng.Uniform(kHour));
+      int f = static_cast<int>(scenario_rng.Uniform(2));
+      CivilTime c = ToCivil(t);
+      std::string name =
+          StrFormat("feed%c_%d_%04d%02d%02d%02d%02d.dat", 'a' + f, i, c.year,
+                    c.month, c.day, c.hour, c.minute);
+      std::string content =
+          scenario_rng.AlnumString(20 + scenario_rng.Uniform(400));
+      expected[name] = {StrFormat("FEED%c", 'A' + f), content};
+      loop.PostAt(t, [this, name, content] { Deposit(name, content); });
+    }
+    loop.PostAt(start + 30 * kMinute, [this] {
+      if (on_crash) on_crash();
+      server.reset();
+      ASSERT_TRUE(fs.SimulateCrash().ok());
+    });
+    loop.PostAt(start + 32 * kMinute, [this] {
+      Boot(true);
+      std::vector<std::pair<std::string, std::string>> pending;
+      pending.swap(stashed);
+      for (auto& [name, content] : pending) {
+        Deposit(std::move(name), std::move(content));
+      }
+    });
+    loop.RunUntil(start + 6 * kHour);
+  }
+
+  /// The run converged: a server is up, no deposit is left stashed, and
+  /// the plan injected something.
+  void ExpectConverged() {
+    ASSERT_NE(server, nullptr);
+    ASSERT_TRUE(stashed.empty());
+    EXPECT_GT(injector.injected(), 0u)
+        << "fault plan injected nothing (seed " << seed << ")";
+  }
+
+  /// Sinks + Drained for the three-subscriber config.
+  void AuditThreeSubscribers() {
+    const std::vector<std::set<std::string>> feeds = {
+        {"FEEDA", "FEEDB"}, {"FEEDA"}, {"FEEDB"}};
+    for (int s = 0; s < 3; ++s) {
+      std::string name = StrFormat("sub%d", s);
+      ExpectSinkExactlyOnce(&sinks[name]->fs, sinks[name]->endpoint, "/recv",
+                            feeds[s], expected, name, seed);
+    }
+    ExpectDrained(server.get(), {"sub0", "sub1", "sub2"}, seed);
+  }
+
+  /// Receipt DB: tears the server down (as a crash would, minus the lost
+  /// bytes) and audits its receipt database cold.
+  void AuditReceiptsCold() {
+    int shards = static_cast<int>(server->receipts()->shard_count());
+    if (on_crash) on_crash();
+    server.reset();
+    EXPECT_EQ(AuditReceiptDb(&base_fs, opts.db_dir, expected, seed, shards)
+                  .size(),
+              expected.size())
+        << "a file was lost before its arrival receipt (seed " << seed << ")";
+  }
+
+  const int seed;
+  const TimePoint start = FromCivil(CivilTime{2010, 9, 25});
+  Rng scenario_rng;
+  SimClock clock{start};
+  EventLoop loop{&clock};
+  MetricsRegistry registry;
+  InMemoryFileSystem base_fs;
+  FaultInjector injector;
+  FaultyFileSystem fs;
+  Rng net_rng;
+  SimNetwork network;
+  SimTransport sim_transport;
+  FaultyTransport transport;
+  CallbackInvoker invoker;
+  Logger logger;
+  ServerConfig config;
   BistroServer::Options opts;
-  opts.kv.sync_wal = true;
-  opts.sync_staging = true;
-  opts.metrics = &registry;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.probe_interval = 20 * kSecond;
-  opts.delivery.max_attempts = 100000;  // chaos must not drop files
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
-
+  std::map<std::string, std::unique_ptr<Sink>> sinks;
   std::unique_ptr<BistroServer> server;
-  auto boot = [&]() {
-    auto created = BistroServer::Create(opts, *config, &fs, &transport, &loop,
+  ExpectedFiles expected;
+  /// Cooperating sources deposit atomically: a failed Deposit removes its
+  /// torn or unsynced landing leftover before retrying, so a landing-zone
+  /// rescan never ingests a partial deposit.
+  bool atomic_deposits = false;
+  /// Runs after each server boot (`rebooting` after the crash).
+  std::function<void(bool rebooting)> on_boot;
+  /// Runs before the server dies, at the crash and before the cold audit.
+  std::function<void()> on_crash;
+
+ private:
+  FaultPlan MakePlan(uint64_t plan_seed, bool degrade_sub1) {
+    FaultPlan plan;
+    plan.seed = plan_seed;
+    plan.vfs.write_error_prob = scenario_rng.NextDouble() * 0.03;
+    plan.vfs.torn_write_prob = scenario_rng.NextDouble() * 0.03;
+    plan.vfs.sync_error_prob = scenario_rng.NextDouble() * 0.02;
+    plan.vfs.scope = "";  // everything: landing, staging, receipt DB
+    plan.net.send_failure_prob = scenario_rng.NextDouble() * 0.15;
+    plan.net.corrupt_prob = scenario_rng.NextDouble() * 0.08;
+    plan.net.ack_loss_prob = scenario_rng.NextDouble() * 0.05;
+    plan.net.flaps.push_back({"sub0", start + 10 * kMinute,
+                              start + 25 * kMinute});
+    if (degrade_sub1) plan.net.degrades.push_back({"sub1", 2.0});
+    return plan;
+  }
+
+  void Boot(bool rebooting) {
+    auto created = BistroServer::Create(opts, config, &fs, &transport, &loop,
                                         &invoker, &logger);
     ASSERT_TRUE(created.ok()) << created.status();
     server = std::move(*created);
-  };
-  boot();
-  ASSERT_NE(server, nullptr);
+    if (on_boot) on_boot(rebooting);
+  }
 
-  // ---- Cooperating sources: retry on error, stash while the server is
-  // down, re-deposit after restart. A failed Deposit leaves no arrival
-  // receipt, so re-depositing cannot double-deliver.
+  void Deposit(std::string name, std::string content) {
+    if (server == nullptr) {
+      stashed.emplace_back(std::move(name), std::move(content));
+      return;
+    }
+    if (server->Deposit("src", name, content).ok()) return;
+    if (atomic_deposits) (void)fs.Delete(opts.landing_root + "/src/" + name);
+    loop.PostAfter(10 * kSecond, [this, name, content] {
+      Deposit(name, content);
+    });
+  }
+
   std::vector<std::pair<std::string, std::string>> stashed;
-  std::function<void(std::string, std::string)> deposit =
-      [&](std::string name, std::string content) {
-        if (server == nullptr) {
-          stashed.emplace_back(std::move(name), std::move(content));
-          return;
-        }
-        Status s = server->Deposit("src", name, content);
-        if (!s.ok()) {
-          loop.PostAfter(10 * kSecond, [&deposit, name, content] {
-            deposit(name, content);
-          });
-        }
-      };
+};
 
-  // ---- Traffic: ~80 matching files over one simulated hour.
-  const int num_files = 60 + static_cast<int>(scenario_rng.Uniform(40));
-  std::map<std::string, std::pair<int, std::string>> expected;
-  for (int i = 0; i < num_files; ++i) {
-    TimePoint t = start + static_cast<Duration>(scenario_rng.Uniform(kHour));
-    int f = static_cast<int>(scenario_rng.Uniform(kNumFeeds));
-    CivilTime c = ToCivil(t);
-    std::string name = StrFormat("feed%c_%d_%04d%02d%02d%02d%02d.dat", 'a' + f,
-                                 i, c.year, c.month, c.day, c.hour, c.minute);
-    std::string content =
-        scenario_rng.AlnumString(20 + scenario_rng.Uniform(400));
-    expected[name] = {f, content};
-    loop.PostAt(t, [&deposit, name, content] { deposit(name, content); });
-  }
+class ChaosE2ETest : public ::testing::TestWithParam<int> {
+ protected:
+  int Seed() const { return SeedBase() + GetParam(); }
+};
 
-  // ---- Mid-run crash: the server dies, unsynced bytes evaporate, and a
-  // fresh server recovers from the (crash-consistent) receipt database.
-  loop.PostAt(start + 30 * kMinute, [&] {
-    server.reset();
-    ASSERT_TRUE(fs.SimulateCrash().ok());
-  });
-  loop.PostAt(start + 32 * kMinute, [&] {
-    boot();
-    std::vector<std::pair<std::string, std::string>> pending;
-    pending.swap(stashed);
-    for (auto& [name, content] : pending) {
-      deposit(std::move(name), std::move(content));
-    }
-  });
+TEST_P(ChaosE2ETest, ExactlyOnceDeliveryUnderFaultsAndCrash) {
+  const uint64_t s = static_cast<uint64_t>(Seed());
+  ChaosWorld w(Seed(), {s * 31337 + 7, s * 97 + 5, s * 101 + 3},
+               /*degrade_sub1=*/true);
+  for (const char* sub : {"sub0", "sub1", "sub2"}) w.AddSink(sub);
+  ASSERT_NO_FATAL_FAILURE(w.Start(std::string(kTwoFeeds) + kThreeSubscribers));
+  w.Run();
 
-  // Run far past the traffic so retries, probes and backfills settle.
-  loop.RunUntil(start + 6 * kHour);
-
-  // ---- Invariants ----
-  ASSERT_NE(server, nullptr);
-  ASSERT_TRUE(stashed.empty());
-  EXPECT_GT(injector.injected(), 0u) << "fault plan injected nothing (seed "
-                                     << seed << ")";
-
-  for (int s = 0; s < kNumSubs; ++s) {
-    size_t want = 0;
-    for (const auto& [name, info] : expected) {
-      bool subscribed = false;
-      for (int f : subscriptions[s]) subscribed |= (f == info.first);
-      if (!subscribed) continue;
-      ++want;
-      std::string dest =
-          StrFormat("/recv/FEED%c/%s", 'A' + info.first, name.c_str());
-      auto got = sub_fs[s]->ReadFile(dest);
-      ASSERT_TRUE(got.ok()) << "sub" << s << " lost " << dest << " (seed "
-                            << seed << ")";
-      EXPECT_EQ(*got, info.second) << dest << " (seed " << seed << ")";
-    }
-    // No file lost, none double-landed: redeliveries (lost acks, the
-    // crash window) must be absorbed by receipts + endpoint dedupe.
-    EXPECT_EQ(sinks[s]->files_received(), want)
-        << "sub" << s << " delivery count off (seed " << seed << ")";
-  }
-
-  // Receipt-side convergence: nothing left undelivered anywhere.
-  for (int s = 0; s < kNumSubs; ++s) {
-    const SubscriberSpec* spec =
-        server->registry()->FindSubscriber(StrFormat("sub%d", s));
-    ASSERT_NE(spec, nullptr);
-    auto queue = server->receipts()->ComputeDeliveryQueue(
-        spec->name, server->registry()->SubscribedFeeds(*spec));
-    EXPECT_TRUE(queue.empty()) << "sub" << s << " still has " << queue.size()
-                               << " undelivered files (seed " << seed << ")";
-  }
-  EXPECT_TRUE(server->delivery()->dead_letters().empty())
-      << "chaos run dead-lettered a file (seed " << seed << ")";
-
+  ASSERT_NO_FATAL_FAILURE(w.ExpectConverged());
+  w.AuditThreeSubscribers();
   // Observability: the injected faults and the dead-letter counter are in
   // the same scrape as the delivery metrics.
-  std::string scrape = ExportPrometheus(&registry);
+  std::string scrape = ExportPrometheus(&w.registry);
   EXPECT_NE(scrape.find("bistro_fault_"), std::string::npos);
   EXPECT_NE(scrape.find("bistro_delivery_dead_letter_total"), std::string::npos);
+  w.AuditReceiptsCold();
 }
 
 // Same world, same fault plan, same crash — but the ingest pipeline runs
@@ -238,197 +309,52 @@ subscriber sub2 { feeds FEEDB; method push; }
 //    a failed group commit, a queue dropped by the crash) is the
 //    landing-zone rescan's job, so the harness scans periodically the way
 //    bistrod does — the source is never re-notified;
-//  - a cooperating source deposits atomically: when Deposit itself
-//    errors, it removes the torn/unsynced landing leftover before
-//    retrying, so a rescan can never ingest a partial deposit.
+//  - the cooperating source deposits atomically, so a rescan can never
+//    ingest a partial deposit.
+//
+// The crash drops the worker queues with the process; admitted but
+// uncommitted files persist only as their (fsynced) landing copies.
 TEST_P(ChaosE2ETest, ThreadedPipelineExactlyOnceUnderFaultsAndCrash) {
-  const int seed = SeedBase() + GetParam();
-  Rng scenario_rng(static_cast<uint64_t>(seed) * 52711 + 11);
-
-  FaultPlan plan;
-  plan.seed = static_cast<uint64_t>(seed) * 89 + 13;
-  plan.vfs.write_error_prob = scenario_rng.NextDouble() * 0.03;
-  plan.vfs.torn_write_prob = scenario_rng.NextDouble() * 0.03;
-  plan.vfs.sync_error_prob = scenario_rng.NextDouble() * 0.02;
-  plan.vfs.scope = "";
-  plan.net.send_failure_prob = scenario_rng.NextDouble() * 0.15;
-  plan.net.corrupt_prob = scenario_rng.NextDouble() * 0.08;
-  plan.net.ack_loss_prob = scenario_rng.NextDouble() * 0.05;
-
-  const TimePoint start = FromCivil(CivilTime{2010, 9, 25});
-  LinkFlap flap;
-  flap.endpoint = "sub0";
-  flap.down_at = start + 10 * kMinute;
-  flap.up_at = start + 25 * kMinute;
-  plan.net.flaps.push_back(flap);
-
-  SimClock clock(start);
-  EventLoop loop(&clock);
-  MetricsRegistry registry;
-  InMemoryFileSystem base_fs;
-  FaultInjector injector(plan, &registry);
-  FaultyFileSystem fs(&base_fs, &injector);
-  Rng net_rng(static_cast<uint64_t>(seed) * 103 + 9);
-  SimNetwork network(&net_rng);
-  SimTransport sim_transport(&loop, &network);
-  FaultyTransport transport(&sim_transport, &loop, &injector);
-  CallbackInvoker invoker;
-  Logger logger(&clock);
-  logger.SetMinLevel(LogLevel::kAlarm);
-
-  constexpr int kNumFeeds = 2;
-  constexpr int kNumSubs = 3;
-  auto config = ParseConfig(R"(
-feed FEEDA { pattern "feeda_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
-feed FEEDB { pattern "feedb_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
-subscriber sub0 { feeds FEEDA, FEEDB; method push; }
-subscriber sub1 { feeds FEEDA; method push; }
-subscriber sub2 { feeds FEEDB; method push; }
-)");
-  ASSERT_TRUE(config.ok()) << config.status();
-  const std::vector<std::vector<int>> subscriptions = {{0, 1}, {0}, {1}};
-
-  std::vector<std::unique_ptr<InMemoryFileSystem>> sub_fs;
-  std::vector<std::unique_ptr<FileSinkEndpoint>> sinks;
-  for (int s = 0; s < kNumSubs; ++s) {
-    network.SetLink(StrFormat("sub%d", s), LinkSpec::Fast());
-    sub_fs.push_back(std::make_unique<InMemoryFileSystem>());
-    sinks.push_back(
-        std::make_unique<FileSinkEndpoint>(sub_fs.back().get(), "/recv"));
-    sim_transport.Register(StrFormat("sub%d", s), sinks.back().get());
-  }
-  injector.Arm(&loop, &network);
-
-  BistroServer::Options opts;
-  opts.kv.sync_wal = true;
-  opts.sync_staging = true;
-  opts.metrics = &registry;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.probe_interval = 20 * kSecond;
-  opts.delivery.max_attempts = 100000;
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
-  opts.ingest.workers = 3;
-  opts.ingest.queue_depth = 64;
-  opts.ingest.batch = 8;
-  opts.ingest.overload_policy = OverloadPolicy::kBlock;
-
-  std::unique_ptr<BistroServer> server;
-  auto boot = [&]() {
-    auto created = BistroServer::Create(opts, *config, &fs, &transport, &loop,
-                                        &invoker, &logger);
-    ASSERT_TRUE(created.ok()) << created.status();
-    server = std::move(*created);
-  };
-  boot();
-  ASSERT_NE(server, nullptr);
-
-  std::vector<std::pair<std::string, std::string>> stashed;
-  std::function<void(std::string, std::string)> deposit =
-      [&](std::string name, std::string content) {
-        if (server == nullptr) {
-          stashed.emplace_back(std::move(name), std::move(content));
-          return;
-        }
-        Status s = server->Deposit("src", name, content);
-        if (!s.ok()) {
-          (void)fs.Delete("/bistro/landing/src/" + name);
-          loop.PostAfter(10 * kSecond, [&deposit, name, content] {
-            deposit(name, content);
-          });
-        }
-      };
+  const uint64_t s = static_cast<uint64_t>(Seed());
+  ChaosWorld w(Seed(), {s * 52711 + 11, s * 89 + 13, s * 103 + 9},
+               /*degrade_sub1=*/false);
+  for (const char* sub : {"sub0", "sub1", "sub2"}) w.AddSink(sub);
+  w.opts.ingest.workers = 3;
+  w.opts.ingest.queue_depth = 64;
+  w.opts.ingest.batch = 8;
+  w.opts.ingest.overload_policy = OverloadPolicy::kBlock;
+  w.atomic_deposits = true;
+  ASSERT_NO_FATAL_FAILURE(w.Start(std::string(kTwoFeeds) + kThreeSubscribers));
 
   // Periodic landing-zone rescan (bistrod's --scan-interval): the only
   // recovery path for post-admission failures in threaded mode.
   std::function<void()> periodic_scan = [&] {
-    if (server != nullptr) (void)server->ScanLandingZone();
-    if (loop.Now() < start + 5 * kHour) {
-      loop.PostAfter(97 * kSecond, periodic_scan);
+    if (w.server != nullptr) (void)w.server->ScanLandingZone();
+    if (w.loop.Now() < w.start + 5 * kHour) {
+      w.loop.PostAfter(97 * kSecond, periodic_scan);
     }
   };
-  loop.PostAfter(97 * kSecond, periodic_scan);
-
-  const int num_files = 60 + static_cast<int>(scenario_rng.Uniform(40));
-  std::map<std::string, std::pair<int, std::string>> expected;
-  for (int i = 0; i < num_files; ++i) {
-    TimePoint t = start + static_cast<Duration>(scenario_rng.Uniform(kHour));
-    int f = static_cast<int>(scenario_rng.Uniform(kNumFeeds));
-    CivilTime c = ToCivil(t);
-    std::string name = StrFormat("feed%c_%d_%04d%02d%02d%02d%02d.dat", 'a' + f,
-                                 i, c.year, c.month, c.day, c.hour, c.minute);
-    std::string content =
-        scenario_rng.AlnumString(20 + scenario_rng.Uniform(400));
-    expected[name] = {f, content};
-    loop.PostAt(t, [&deposit, name, content] { deposit(name, content); });
-  }
-
-  // Mid-run crash: worker queues evaporate with the process; admitted but
-  // uncommitted files persist only as their (fsynced) landing copies.
-  loop.PostAt(start + 30 * kMinute, [&] {
-    server.reset();
-    ASSERT_TRUE(fs.SimulateCrash().ok());
-  });
-  loop.PostAt(start + 32 * kMinute, [&] {
-    boot();
-    std::vector<std::pair<std::string, std::string>> pending;
-    pending.swap(stashed);
-    for (auto& [name, content] : pending) {
-      deposit(std::move(name), std::move(content));
-    }
-  });
-
-  loop.RunUntil(start + 6 * kHour);
+  w.loop.PostAfter(97 * kSecond, periodic_scan);
+  w.Run();
 
   // Settle: drain the worker threads, rescan for anything a fault pushed
   // back to the landing zone, and let retries/backfills play out.
   for (int round = 0; round < 60; ++round) {
-    ASSERT_NE(server, nullptr);
-    server->ingest()->WaitIdle();
-    (void)server->ScanLandingZone();
-    server->ingest()->WaitIdle();
-    loop.RunUntil(loop.Now() + kMinute);
+    ASSERT_NE(w.server, nullptr);
+    w.server->ingest()->WaitIdle();
+    (void)w.server->ScanLandingZone();
+    w.server->ingest()->WaitIdle();
+    w.loop.RunUntil(w.loop.Now() + kMinute);
   }
 
-  ASSERT_TRUE(stashed.empty());
-  EXPECT_GT(injector.injected(), 0u) << "fault plan injected nothing (seed "
-                                     << seed << ")";
-  EXPECT_EQ(server->ingest()->stats().in_flight, 0u);
-
-  for (int s = 0; s < kNumSubs; ++s) {
-    size_t want = 0;
-    for (const auto& [name, info] : expected) {
-      bool subscribed = false;
-      for (int f : subscriptions[s]) subscribed |= (f == info.first);
-      if (!subscribed) continue;
-      ++want;
-      std::string dest =
-          StrFormat("/recv/FEED%c/%s", 'A' + info.first, name.c_str());
-      auto got = sub_fs[s]->ReadFile(dest);
-      ASSERT_TRUE(got.ok()) << "sub" << s << " lost " << dest << " (seed "
-                            << seed << ")";
-      EXPECT_EQ(*got, info.second) << dest << " (seed " << seed << ")";
-    }
-    EXPECT_EQ(sinks[s]->files_received(), want)
-        << "sub" << s << " delivery count off (seed " << seed << ")";
-  }
-
-  for (int s = 0; s < kNumSubs; ++s) {
-    const SubscriberSpec* spec =
-        server->registry()->FindSubscriber(StrFormat("sub%d", s));
-    ASSERT_NE(spec, nullptr);
-    auto queue = server->receipts()->ComputeDeliveryQueue(
-        spec->name, server->registry()->SubscribedFeeds(*spec));
-    EXPECT_TRUE(queue.empty()) << "sub" << s << " still has " << queue.size()
-                               << " undelivered files (seed " << seed << ")";
-  }
-  EXPECT_TRUE(server->delivery()->dead_letters().empty())
-      << "chaos run dead-lettered a file (seed " << seed << ")";
-
+  ASSERT_NO_FATAL_FAILURE(w.ExpectConverged());
+  EXPECT_EQ(w.server->ingest()->stats().in_flight, 0u);
+  w.AuditThreeSubscribers();
   // The pipeline's counters ride the same scrape as everything else.
-  std::string scrape = ExportPrometheus(&registry);
+  std::string scrape = ExportPrometheus(&w.registry);
   EXPECT_NE(scrape.find("bistro_ingest_admitted_total"), std::string::npos);
   EXPECT_NE(scrape.find("bistro_ingest_committed_total"), std::string::npos);
+  w.AuditReceiptsCold();
 }
 
 // Same world, same crash — with the fan-out fast path fully enabled:
@@ -438,185 +364,32 @@ subscriber sub2 { feeds FEEDB; method push; }
 // lose a *suffix* of a buffered receipt group, and the resulting
 // redeliveries must be absorbed by the subscriber-side FileId dedupe.
 TEST_P(ChaosE2ETest, FastPathExactlyOnceUnderFaultsAndCrash) {
-  const int seed = SeedBase() + GetParam();
-  Rng scenario_rng(static_cast<uint64_t>(seed) * 40087 + 19);
+  const uint64_t s = static_cast<uint64_t>(Seed());
+  ChaosWorld w(Seed(), {s * 40087 + 19, s * 83 + 29, s * 107 + 17},
+               /*degrade_sub1=*/true);
+  w.network.SetPipelinedAcks(true);  // windows > 1 overlap ack latency
+  for (const char* sub : {"sub0", "sub1", "sub2"}) w.AddSink(sub);
+  w.opts.delivery.window = 4;
+  w.opts.delivery.coalesce_bytes = 4096;
+  w.opts.delivery.receipt_group = 8;
+  w.opts.delivery.receipt_flush_interval = 200 * kMillisecond;
+  ASSERT_NO_FATAL_FAILURE(w.Start(std::string(kTwoFeeds) + kThreeSubscribers));
+  w.Run();
 
-  FaultPlan plan;
-  plan.seed = static_cast<uint64_t>(seed) * 83 + 29;
-  plan.vfs.write_error_prob = scenario_rng.NextDouble() * 0.03;
-  plan.vfs.torn_write_prob = scenario_rng.NextDouble() * 0.03;
-  plan.vfs.sync_error_prob = scenario_rng.NextDouble() * 0.02;
-  plan.vfs.scope = "";
-  plan.net.send_failure_prob = scenario_rng.NextDouble() * 0.15;
-  plan.net.corrupt_prob = scenario_rng.NextDouble() * 0.08;
-  plan.net.ack_loss_prob = scenario_rng.NextDouble() * 0.05;
-
-  const TimePoint start = FromCivil(CivilTime{2010, 9, 25});
-  LinkFlap flap;
-  flap.endpoint = "sub0";
-  flap.down_at = start + 10 * kMinute;
-  flap.up_at = start + 25 * kMinute;
-  plan.net.flaps.push_back(flap);
-  LinkDegrade degrade;
-  degrade.endpoint = "sub1";
-  degrade.factor = 2.0;
-  plan.net.degrades.push_back(degrade);
-
-  SimClock clock(start);
-  EventLoop loop(&clock);
-  MetricsRegistry registry;
-  InMemoryFileSystem base_fs;
-  FaultInjector injector(plan, &registry);
-  FaultyFileSystem fs(&base_fs, &injector);
-  Rng net_rng(static_cast<uint64_t>(seed) * 107 + 17);
-  SimNetwork network(&net_rng);
-  network.SetPipelinedAcks(true);  // windows > 1 overlap ack latency
-  SimTransport sim_transport(&loop, &network);
-  FaultyTransport transport(&sim_transport, &loop, &injector);
-  CallbackInvoker invoker;
-  Logger logger(&clock);
-  logger.SetMinLevel(LogLevel::kAlarm);
-
-  constexpr int kNumFeeds = 2;
-  constexpr int kNumSubs = 3;
-  auto config = ParseConfig(R"(
-feed FEEDA { pattern "feeda_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
-feed FEEDB { pattern "feedb_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
-subscriber sub0 { feeds FEEDA, FEEDB; method push; }
-subscriber sub1 { feeds FEEDA; method push; }
-subscriber sub2 { feeds FEEDB; method push; }
-)");
-  ASSERT_TRUE(config.ok()) << config.status();
-  const std::vector<std::vector<int>> subscriptions = {{0, 1}, {0}, {1}};
-
-  std::vector<std::unique_ptr<InMemoryFileSystem>> sub_fs;
-  std::vector<std::unique_ptr<FileSinkEndpoint>> sinks;
-  for (int s = 0; s < kNumSubs; ++s) {
-    network.SetLink(StrFormat("sub%d", s), LinkSpec::Fast());
-    sub_fs.push_back(std::make_unique<InMemoryFileSystem>());
-    sinks.push_back(
-        std::make_unique<FileSinkEndpoint>(sub_fs.back().get(), "/recv"));
-    sim_transport.Register(StrFormat("sub%d", s), sinks.back().get());
-  }
-  injector.Arm(&loop, &network);
-
-  BistroServer::Options opts;
-  opts.kv.sync_wal = true;
-  opts.sync_staging = true;
-  opts.metrics = &registry;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.probe_interval = 20 * kSecond;
-  opts.delivery.max_attempts = 100000;
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
-  // The fan-out fast path under test:
-  opts.delivery.window = 4;
-  opts.delivery.coalesce_bytes = 4096;
-  opts.delivery.receipt_group = 8;
-  opts.delivery.receipt_flush_interval = 200 * kMillisecond;
-
-  std::unique_ptr<BistroServer> server;
-  auto boot = [&]() {
-    auto created = BistroServer::Create(opts, *config, &fs, &transport, &loop,
-                                        &invoker, &logger);
-    ASSERT_TRUE(created.ok()) << created.status();
-    server = std::move(*created);
-  };
-  boot();
-  ASSERT_NE(server, nullptr);
-
-  std::vector<std::pair<std::string, std::string>> stashed;
-  std::function<void(std::string, std::string)> deposit =
-      [&](std::string name, std::string content) {
-        if (server == nullptr) {
-          stashed.emplace_back(std::move(name), std::move(content));
-          return;
-        }
-        Status s = server->Deposit("src", name, content);
-        if (!s.ok()) {
-          loop.PostAfter(10 * kSecond, [&deposit, name, content] {
-            deposit(name, content);
-          });
-        }
-      };
-
-  const int num_files = 60 + static_cast<int>(scenario_rng.Uniform(40));
-  std::map<std::string, std::pair<int, std::string>> expected;
-  for (int i = 0; i < num_files; ++i) {
-    TimePoint t = start + static_cast<Duration>(scenario_rng.Uniform(kHour));
-    int f = static_cast<int>(scenario_rng.Uniform(kNumFeeds));
-    CivilTime c = ToCivil(t);
-    std::string name = StrFormat("feed%c_%d_%04d%02d%02d%02d%02d.dat", 'a' + f,
-                                 i, c.year, c.month, c.day, c.hour, c.minute);
-    std::string content =
-        scenario_rng.AlnumString(20 + scenario_rng.Uniform(400));
-    expected[name] = {f, content};
-    loop.PostAt(t, [&deposit, name, content] { deposit(name, content); });
-  }
-
-  // Mid-run crash: buffered delivery-receipt groups die with the process;
-  // recovery must re-offer (and the sinks dedupe) at most that suffix.
-  loop.PostAt(start + 30 * kMinute, [&] {
-    server.reset();
-    ASSERT_TRUE(fs.SimulateCrash().ok());
-  });
-  loop.PostAt(start + 32 * kMinute, [&] {
-    boot();
-    std::vector<std::pair<std::string, std::string>> pending;
-    pending.swap(stashed);
-    for (auto& [name, content] : pending) {
-      deposit(std::move(name), std::move(content));
-    }
-  });
-
-  loop.RunUntil(start + 6 * kHour);
-
-  ASSERT_NE(server, nullptr);
-  ASSERT_TRUE(stashed.empty());
-  EXPECT_GT(injector.injected(), 0u) << "fault plan injected nothing (seed "
-                                     << seed << ")";
-
-  for (int s = 0; s < kNumSubs; ++s) {
-    size_t want = 0;
-    for (const auto& [name, info] : expected) {
-      bool subscribed = false;
-      for (int f : subscriptions[s]) subscribed |= (f == info.first);
-      if (!subscribed) continue;
-      ++want;
-      std::string dest =
-          StrFormat("/recv/FEED%c/%s", 'A' + info.first, name.c_str());
-      auto got = sub_fs[s]->ReadFile(dest);
-      ASSERT_TRUE(got.ok()) << "sub" << s << " lost " << dest << " (seed "
-                            << seed << ")";
-      EXPECT_EQ(*got, info.second) << dest << " (seed " << seed << ")";
-    }
-    EXPECT_EQ(sinks[s]->files_received(), want)
-        << "sub" << s << " delivery count off (seed " << seed << ")";
-  }
-
-  for (int s = 0; s < kNumSubs; ++s) {
-    const SubscriberSpec* spec =
-        server->registry()->FindSubscriber(StrFormat("sub%d", s));
-    ASSERT_NE(spec, nullptr);
-    auto queue = server->receipts()->ComputeDeliveryQueue(
-        spec->name, server->registry()->SubscribedFeeds(*spec));
-    EXPECT_TRUE(queue.empty()) << "sub" << s << " still has " << queue.size()
-                               << " undelivered files (seed " << seed << ")";
-  }
-  EXPECT_TRUE(server->delivery()->dead_letters().empty())
-      << "chaos run dead-lettered a file (seed " << seed << ")";
+  ASSERT_NO_FATAL_FAILURE(w.ExpectConverged());
+  w.AuditThreeSubscribers();
   // No receipt may linger in the buffer once the run quiesces.
-  EXPECT_EQ(server->delivery()->buffered_receipts(), 0u);
+  EXPECT_EQ(w.server->delivery()->buffered_receipts(), 0u);
   // The grouped-receipt path actually ran.
-  EXPECT_GT(server->delivery_stats().receipt_group_flushes, 0u);
-
-  std::string scrape = ExportPrometheus(&registry);
+  EXPECT_GT(w.server->delivery_stats().receipt_group_flushes, 0u);
+  std::string scrape = ExportPrometheus(&w.registry);
   EXPECT_NE(scrape.find("bistro_delivery_coalesced_files_total"),
             std::string::npos);
   EXPECT_NE(scrape.find("bistro_delivery_receipt_group_flushes_total"),
             std::string::npos);
   EXPECT_NE(scrape.find("bistro_delivery_cache_hits_total"),
             std::string::npos);
+  w.AuditReceiptsCold();
 }
 
 // A member endpoint that is hard-down for a fixed window of the run:
@@ -658,44 +431,62 @@ class OutageEndpoint : public Endpoint {
 // subscriber all land each matching file exactly once, and the group
 // still holds only ONE delivery receipt row per file.
 TEST_P(ChaosE2ETest, FanoutGroupsRelaysShardsExactlyOnceUnderFaultsAndCrash) {
-  const int seed = SeedBase() + GetParam();
-  Rng scenario_rng(static_cast<uint64_t>(seed) * 68111 + 23);
+  const uint64_t s = static_cast<uint64_t>(Seed());
+  ChaosWorld w(Seed(), {s * 68111 + 23, s * 79 + 31, s * 109 + 21},
+               /*degrade_sub1=*/false);
+  // Terminal endpoints: the plain subscriber, three group members (m2 is
+  // hard-down from +5m to +40m, spanning the crash), two relay leaves.
+  w.AddSink("sub0");
+  w.network.SetLink("grp1", LinkSpec::Fast());
+  w.network.SetLink("relayR", LinkSpec::Fast());
+  for (const char* m : {"m0", "m1", "m2"}) w.NewSink(m);
+  OutageEndpoint m2_flaky(&w.sinks["m2"]->endpoint, &w.loop,
+                          w.start + 5 * kMinute, w.start + 40 * kMinute);
+  for (const char* l : {"leaf0", "leaf1"}) w.AddSink(l);
 
-  FaultPlan plan;
-  plan.seed = static_cast<uint64_t>(seed) * 79 + 31;
-  plan.vfs.write_error_prob = scenario_rng.NextDouble() * 0.03;
-  plan.vfs.torn_write_prob = scenario_rng.NextDouble() * 0.03;
-  plan.vfs.sync_error_prob = scenario_rng.NextDouble() * 0.02;
-  plan.vfs.scope = "";  // receipts, staging, AND the relay spool
-  plan.net.send_failure_prob = scenario_rng.NextDouble() * 0.15;
-  plan.net.corrupt_prob = scenario_rng.NextDouble() * 0.08;
-  plan.net.ack_loss_prob = scenario_rng.NextDouble() * 0.05;
-
-  const TimePoint start = FromCivil(CivilTime{2010, 9, 25});
-  LinkFlap flap;
-  flap.endpoint = "sub0";
-  flap.down_at = start + 10 * kMinute;
-  flap.up_at = start + 25 * kMinute;
-  plan.net.flaps.push_back(flap);
-
-  SimClock clock(start);
-  EventLoop loop(&clock);
-  MetricsRegistry registry;
-  InMemoryFileSystem base_fs;
-  FaultInjector injector(plan, &registry);
-  FaultyFileSystem fs(&base_fs, &injector);
-  Rng net_rng(static_cast<uint64_t>(seed) * 109 + 21);
-  SimNetwork network(&net_rng);
-  SimTransport sim_transport(&loop, &network);
-  FaultyTransport transport(&sim_transport, &loop, &injector);
-  CallbackInvoker invoker;
-  Logger logger(&clock);
-  logger.SetMinLevel(LogLevel::kAlarm);
-
-  constexpr int kNumFeeds = 2;
-  auto config = ParseConfig(R"(
-feed FEEDA { pattern "feeda_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
-feed FEEDB { pattern "feedb_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
+  // The relay and the group manager live and die with the server. The
+  // relay restarts from its durable spool (replaying entries the crash
+  // left with unacked children), on the same faulty transport.
+  std::unique_ptr<fanout::RelayNode> relay;
+  std::unique_ptr<fanout::GroupManager> groups;
+  w.on_boot = [&](bool rebooting) {
+    fanout::RelayNode::Options relay_options;
+    relay_options.spool_dir = "/bistro/relay-spool";
+    relay_options.retry_backoff = 3 * kSecond;
+    relay_options.kv.sync_wal = true;
+    auto opened = fanout::RelayNode::Open("relayR", {"leaf0", "leaf1"}, &w.fs,
+                                          &w.transport, &w.loop, &w.logger,
+                                          relay_options);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    relay = std::move(*opened);
+    w.sim_transport.Register("relayR", relay.get());
+    fanout::GroupManager::Options group_options;
+    group_options.catchup_interval = 45 * kSecond;
+    groups = std::make_unique<fanout::GroupManager>(
+        w.server.get(), &w.fs, &w.loop, &w.logger, group_options);
+    auto member = [&](const std::string& m) -> Endpoint* {
+      if (m == "m2") return &m2_flaky;
+      return &w.sinks[m]->endpoint;
+    };
+    auto wire = [&](const std::string& name, Endpoint* ep) {
+      w.sim_transport.Register(name, ep);
+    };
+    ASSERT_TRUE(groups->Wire(w.config.groups, member, wire).ok());
+    // In-memory straggler state died with the process: re-offer the
+    // group's delivered history; member dedupe absorbs the repeats.
+    if (rebooting) {
+      ASSERT_TRUE(groups->Resync().ok());
+    }
+  };
+  w.on_crash = [&] {
+    // Take the relay's and the group's addresses off the wire so
+    // in-flight messages bounce, then destroy them.
+    w.sim_transport.Unregister("relayR");
+    w.sim_transport.Unregister("grp1");
+    groups.reset();
+    relay.reset();
+  };
+  ASSERT_NO_FATAL_FAILURE(w.Start(std::string(kTwoFeeds) + R"(
 subscriber sub0 { feeds FEEDA, FEEDB; method push; }
 subscriber relaysub { feeds FEEDB; method push; host "relayR"; }
 group grp1 {
@@ -704,188 +495,24 @@ group grp1 {
   straggler_after 3;
 }
 receipts { shards 4; }
-)");
-  ASSERT_TRUE(config.ok()) << config.status();
+)"));
+  EXPECT_EQ(w.server->receipts()->shard_count(), 4u);
+  w.Run();
 
-  // Terminal endpoints: the plain subscriber, three group members (m2 is
-  // hard-down from +5m to +40m, spanning the crash), two relay leaves.
-  network.SetLink("sub0", LinkSpec::Fast());
-  network.SetLink("grp1", LinkSpec::Fast());
-  network.SetLink("relayR", LinkSpec::Fast());
-  InMemoryFileSystem sub0_fs;
-  FileSinkEndpoint sub0(&sub0_fs, "/recv");
-  sim_transport.Register("sub0", &sub0);
-  std::map<std::string, std::unique_ptr<InMemoryFileSystem>> member_fs;
-  std::map<std::string, std::unique_ptr<FileSinkEndpoint>> member_sinks;
-  for (const char* m : {"m0", "m1", "m2"}) {
-    member_fs[m] = std::make_unique<InMemoryFileSystem>();
-    member_sinks[m] =
-        std::make_unique<FileSinkEndpoint>(member_fs[m].get(), "/recv");
-  }
-  OutageEndpoint m2_flaky(member_sinks["m2"].get(), &loop,
-                          start + 5 * kMinute, start + 40 * kMinute);
-  std::map<std::string, std::unique_ptr<InMemoryFileSystem>> leaf_fs;
-  std::map<std::string, std::unique_ptr<FileSinkEndpoint>> leaf_sinks;
-  for (const char* l : {"leaf0", "leaf1"}) {
-    network.SetLink(l, LinkSpec::Fast());
-    leaf_fs[l] = std::make_unique<InMemoryFileSystem>();
-    leaf_sinks[l] =
-        std::make_unique<FileSinkEndpoint>(leaf_fs[l].get(), "/recv");
-    sim_transport.Register(l, leaf_sinks[l].get());
-  }
-  injector.Arm(&loop, &network);
-
-  BistroServer::Options opts;
-  opts.kv.sync_wal = true;
-  opts.sync_staging = true;
-  opts.metrics = &registry;
-  opts.delivery.retry_backoff = 2 * kSecond;
-  opts.delivery.retry_backoff_max = 30 * kSecond;
-  opts.delivery.probe_interval = 20 * kSecond;
-  opts.delivery.max_attempts = 100000;
-  opts.delivery.backoff_seed = static_cast<uint64_t>(seed) + 1;
-
-  std::unique_ptr<BistroServer> server;
-  std::unique_ptr<fanout::RelayNode> relay;
-  std::unique_ptr<fanout::GroupManager> groups;
-  auto boot = [&](bool rebooting) {
-    auto created = BistroServer::Create(opts, *config, &fs, &transport, &loop,
-                                        &invoker, &logger);
-    ASSERT_TRUE(created.ok()) << created.status();
-    server = std::move(*created);
-    // The relay restarts from its durable spool (replaying entries the
-    // crash left with unacked children), on the same faulty transport.
-    fanout::RelayNode::Options relay_options;
-    relay_options.spool_dir = "/bistro/relay-spool";
-    relay_options.retry_backoff = 3 * kSecond;
-    relay_options.kv.sync_wal = true;
-    auto opened =
-        fanout::RelayNode::Open("relayR", {"leaf0", "leaf1"}, &fs, &transport,
-                                &loop, &logger, relay_options);
-    ASSERT_TRUE(opened.ok()) << opened.status();
-    relay = std::move(*opened);
-    sim_transport.Register("relayR", relay.get());
-    fanout::GroupManager::Options group_options;
-    group_options.catchup_interval = 45 * kSecond;
-    groups = std::make_unique<fanout::GroupManager>(
-        server.get(), &fs, &loop, &logger, group_options);
-    ASSERT_TRUE(groups
-                    ->Wire(
-                        config->groups,
-                        [&](const std::string& m) -> Endpoint* {
-                          if (m == "m2") return &m2_flaky;
-                          return member_sinks[m].get();
-                        },
-                        [&](const std::string& name, Endpoint* ep) {
-                          sim_transport.Register(name, ep);
-                        })
-                    .ok());
-    if (rebooting) {
-      // In-memory straggler state died with the process: re-offer the
-      // group's delivered history; member dedupe absorbs the repeats.
-      ASSERT_TRUE(groups->Resync().ok());
-    }
-  };
-  boot(false);
-  ASSERT_NE(server, nullptr);
-  EXPECT_EQ(server->receipts()->shard_count(), 4u);
-
-  std::vector<std::pair<std::string, std::string>> stashed;
-  std::function<void(std::string, std::string)> deposit =
-      [&](std::string name, std::string content) {
-        if (server == nullptr) {
-          stashed.emplace_back(std::move(name), std::move(content));
-          return;
-        }
-        Status s = server->Deposit("src", name, content);
-        if (!s.ok()) {
-          loop.PostAfter(10 * kSecond, [&deposit, name, content] {
-            deposit(name, content);
-          });
-        }
-      };
-
-  const int num_files = 60 + static_cast<int>(scenario_rng.Uniform(40));
-  std::map<std::string, std::pair<int, std::string>> expected;
-  for (int i = 0; i < num_files; ++i) {
-    TimePoint t = start + static_cast<Duration>(scenario_rng.Uniform(kHour));
-    int f = static_cast<int>(scenario_rng.Uniform(kNumFeeds));
-    CivilTime c = ToCivil(t);
-    std::string name = StrFormat("feed%c_%d_%04d%02d%02d%02d%02d.dat", 'a' + f,
-                                 i, c.year, c.month, c.day, c.hour, c.minute);
-    std::string content =
-        scenario_rng.AlnumString(20 + scenario_rng.Uniform(400));
-    expected[name] = {f, content};
-    loop.PostAt(t, [&deposit, name, content] { deposit(name, content); });
-  }
-
-  // Mid-run crash: server, group manager AND relay die together; the
-  // sharded receipt stores and the relay spool recover from their WALs.
-  loop.PostAt(start + 30 * kMinute, [&] {
-    // The relay and group relays die with the server process: take their
-    // addresses off the wire so in-flight messages bounce, then destroy.
-    sim_transport.Unregister("relayR");
-    sim_transport.Unregister("grp1");
-    groups.reset();
-    relay.reset();
-    server.reset();
-    ASSERT_TRUE(fs.SimulateCrash().ok());
-  });
-  loop.PostAt(start + 32 * kMinute, [&] {
-    boot(true);
-    std::vector<std::pair<std::string, std::string>> pending;
-    pending.swap(stashed);
-    for (auto& [name, content] : pending) {
-      deposit(std::move(name), std::move(content));
-    }
-  });
-
-  loop.RunUntil(start + 6 * kHour);
-
-  // ---- Invariants ----
-  ASSERT_NE(server, nullptr);
-  ASSERT_TRUE(stashed.empty());
-  EXPECT_GT(injector.injected(), 0u) << "fault plan injected nothing (seed "
-                                     << seed << ")";
+  ASSERT_NO_FATAL_FAILURE(w.ExpectConverged());
   EXPECT_GT(m2_flaky.rejected(), 0u)
-      << "member outage window saw no traffic (seed " << seed << ")";
-
-  size_t want_a = 0, want_b = 0;
-  for (const auto& [name, info] : expected) {
-    (info.first == 0 ? want_a : want_b) += 1;
-  }
-  auto check_sink = [&](InMemoryFileSystem* sink_fs, FileSinkEndpoint* sink,
-                        int feed, size_t want, const std::string& who) {
-    for (const auto& [name, info] : expected) {
-      if (info.first != feed) continue;
-      std::string dest =
-          StrFormat("/recv/FEED%c/%s", 'A' + info.first, name.c_str());
-      auto got = sink_fs->ReadFile(dest);
-      ASSERT_TRUE(got.ok()) << who << " lost " << dest << " (seed " << seed
-                            << ")";
-      EXPECT_EQ(*got, info.second) << dest << " (seed " << seed << ")";
-    }
-    EXPECT_EQ(sink->files_received(), want)
-        << who << " delivery count off (seed " << seed << ")";
+      << "member outage window saw no traffic (seed " << w.seed << ")";
+  // The plain subscriber sees both feeds, every group member (including
+  // the one down for 35 simulated minutes across the crash) every FEEDA
+  // file, and both relay leaves every FEEDB file — each exactly once.
+  auto audit_sink = [&](const std::string& name,
+                        const std::set<std::string>& feeds) {
+    ExpectSinkExactlyOnce(&w.sinks[name]->fs, w.sinks[name]->endpoint,
+                          "/recv", feeds, w.expected, name, w.seed);
   };
-  // The plain subscriber sees both feeds...
-  for (const auto& [name, info] : expected) {
-    std::string dest =
-        StrFormat("/recv/FEED%c/%s", 'A' + info.first, name.c_str());
-    auto got = sub0_fs.ReadFile(dest);
-    ASSERT_TRUE(got.ok()) << "sub0 lost " << dest << " (seed " << seed << ")";
-    EXPECT_EQ(*got, info.second);
-  }
-  EXPECT_EQ(sub0.files_received(), want_a + want_b);
-  // ...every group member (including the one that was down for 35
-  // simulated minutes across the crash) landed every FEEDA file once...
-  for (const char* m : {"m0", "m1", "m2"}) {
-    check_sink(member_fs[m].get(), member_sinks[m].get(), 0, want_a, m);
-  }
-  // ...and both relay leaves landed every FEEDB file once.
-  for (const char* l : {"leaf0", "leaf1"}) {
-    check_sink(leaf_fs[l].get(), leaf_sinks[l].get(), 1, want_b, l);
-  }
+  audit_sink("sub0", {"FEEDA", "FEEDB"});
+  for (const char* m : {"m0", "m1", "m2"}) audit_sink(m, {"FEEDA"});
+  for (const char* l : {"leaf0", "leaf1"}) audit_sink(l, {"FEEDB"});
 
   // Group state converged: no straggler, no owed files, and the receipt
   // audit shows ONE shared d/ row per file for the whole group.
@@ -894,26 +521,20 @@ receipts { shards 4; }
   EXPECT_EQ(group_relay->straggler_count(), 0u);
   EXPECT_EQ(group_relay->straggler_lag(), 0u);
   size_t group_rows = 0;
-  for (size_t i = 0; i < server->receipts()->shard_count(); ++i) {
-    group_rows += server->receipts()->kv(i)->ScanPrefix("d/grp1/").size();
+  for (size_t i = 0; i < w.server->receipts()->shard_count(); ++i) {
+    group_rows += w.server->receipts()->kv(i)->ScanPrefix("d/grp1/").size();
   }
+  size_t want_a = 0;
+  for (const auto& [name, file] : w.expected) want_a += file.feed == "FEEDA";
   EXPECT_EQ(group_rows, want_a)
-      << "group receipt rows != FEEDA files (seed " << seed << ")";
+      << "group receipt rows != FEEDA files (seed " << w.seed << ")";
 
   // Relay spool drained; queues recompute empty; nothing dead-lettered.
   EXPECT_EQ(relay->Backlog(), 0u);
-  for (const char* name : {"sub0", "relaysub", "grp1"}) {
-    const SubscriberSpec* spec = server->registry()->FindSubscriber(name);
-    ASSERT_NE(spec, nullptr) << name;
-    auto queue = server->receipts()->ComputeDeliveryQueue(
-        spec->name, server->registry()->SubscribedFeeds(*spec));
-    EXPECT_TRUE(queue.empty()) << name << " still has " << queue.size()
-                               << " undelivered files (seed " << seed << ")";
-  }
-  EXPECT_TRUE(server->delivery()->dead_letters().empty())
-      << "chaos run dead-lettered a file (seed " << seed << ")";
-  EXPECT_EQ(server->registry()->subscriber_scans(), 0u)
+  ExpectDrained(w.server.get(), {"sub0", "relaysub", "grp1"}, w.seed);
+  EXPECT_EQ(w.server->registry()->subscriber_scans(), 0u)
       << "fan-out fell back to the full subscriber scan";
+  w.AuditReceiptsCold();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosE2ETest, ::testing::Range(0, 5));

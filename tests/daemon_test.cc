@@ -89,7 +89,7 @@ struct DaemonFixture {
   SimClock clock{FromCivil(CivilTime{2010, 9, 26})};
   EventLoop loop{&clock};
   InMemoryFileSystem fs;
-  LoopbackTransport transport{&loop};
+  SimTransport transport{&loop};
   CallbackInvoker invoker;
   Logger logger{&clock};
   std::unique_ptr<BistroServer> server;

@@ -23,7 +23,7 @@ struct Rig {
   SimClock clock{FromCivil(CivilTime{2010, 9, 25})};
   EventLoop loop{&clock};
   InMemoryFileSystem fs;
-  LoopbackTransport transport{&loop};
+  SimTransport transport{&loop};
   RecordingInvoker invoker;
   Logger logger{&clock};
   std::unique_ptr<BistroServer> server;
@@ -537,7 +537,7 @@ TEST(HeartbeatTest, DroppedProbesKeepSubscriberOfflineUntilWireHeals) {
   Logger logger{&clock};
   logger.SetMinLevel(LogLevel::kAlarm);
   RecordingInvoker invoker;
-  LoopbackTransport wire{&loop};
+  SimTransport wire{&loop};
   FaultPlan plan;
   plan.net.send_failure_prob = 1.0;  // every send (data or probe) dropped
   FaultInjector injector(plan);
@@ -657,7 +657,7 @@ TEST(EngineTest, UnknownFeedGroupSubscriberRejectedAtCreate) {
   SimClock clock(0);
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   RecordingInvoker invoker;
   Logger logger(&clock);
   auto config = ParseConfig(R"(

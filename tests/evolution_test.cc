@@ -97,7 +97,7 @@ TEST(EvolutionLoopTest, AnalyzerSuggestionHealsFalseNegatives) {
   SimClock clock(FromCivil(CivilTime{2010, 9, 26}));
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   CallbackInvoker invoker;
   Logger logger(&clock);
   logger.SetMinLevel(LogLevel::kAlarm);
@@ -153,7 +153,7 @@ TEST(HybridPullTest, NotifiedSubscriberRetrievesBytes) {
   SimClock clock(FromCivil(CivilTime{2010, 9, 25}));
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   CallbackInvoker invoker;
   Logger logger(&clock);
   logger.SetMinLevel(LogLevel::kAlarm);
@@ -191,7 +191,7 @@ TEST(HybridPullTest, RetrieveFailsAfterExpiry) {
   SimClock clock(FromCivil(CivilTime{2010, 9, 25}));
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   CallbackInvoker invoker;
   Logger logger(&clock);
   logger.SetMinLevel(LogLevel::kAlarm);

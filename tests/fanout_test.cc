@@ -5,6 +5,8 @@
 // unsharded layout), the admin `subscriptions` view, and a multi-hop
 // cascade (server -> relay -> federated server) smoke test.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
@@ -191,7 +193,7 @@ class FanoutServerTest : public ::testing::Test {
     clock_ = std::make_unique<SimClock>(FromCivil(CivilTime{2010, 9, 25}));
     loop_ = std::make_unique<EventLoop>(clock_.get());
     fs_ = std::make_unique<InMemoryFileSystem>();
-    transport_ = std::make_unique<LoopbackTransport>(loop_.get());
+    transport_ = std::make_unique<SimTransport>(loop_.get());
     invoker_ = std::make_unique<RecordingInvoker>();
     logger_ = std::make_unique<Logger>(clock_.get());
     logger_->SetMinLevel(LogLevel::kError);
@@ -235,7 +237,7 @@ class FanoutServerTest : public ::testing::Test {
   std::unique_ptr<SimClock> clock_;
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<InMemoryFileSystem> fs_;
-  std::unique_ptr<LoopbackTransport> transport_;
+  std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<RecordingInvoker> invoker_;
   std::unique_ptr<Logger> logger_;
   std::unique_ptr<FileSinkEndpoint> warehouse_;
@@ -595,7 +597,7 @@ class RelayTest : public ::testing::Test {
     clock_ = std::make_unique<SimClock>(FromCivil(CivilTime{2010, 9, 25}));
     loop_ = std::make_unique<EventLoop>(clock_.get());
     fs_ = std::make_unique<InMemoryFileSystem>();
-    transport_ = std::make_unique<LoopbackTransport>(loop_.get());
+    transport_ = std::make_unique<SimTransport>(loop_.get());
     logger_ = std::make_unique<Logger>(clock_.get());
     logger_->SetMinLevel(LogLevel::kError);
     c1_ = std::make_unique<FileSinkEndpoint>(fs_.get(), "/c1");
@@ -614,7 +616,7 @@ class RelayTest : public ::testing::Test {
   std::unique_ptr<SimClock> clock_;
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<InMemoryFileSystem> fs_;
-  std::unique_ptr<LoopbackTransport> transport_;
+  std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<Logger> logger_;
   std::unique_ptr<FileSinkEndpoint> c1_;
   std::unique_ptr<FileSinkEndpoint> c2_;
@@ -656,6 +658,45 @@ TEST_F(RelayTest, RetriesFailedChildWithBackoff) {
   EXPECT_EQ(c2_->files_received(), 1u);
   EXPECT_EQ((*relay)->Backlog(), 0u);
   EXPECT_EQ(c1_->duplicates(), 0u);  // retry targeted only the failed child
+}
+
+// A child that refuses every file and notes when each attempt arrived.
+class RefusingChild : public Endpoint {
+ public:
+  explicit RefusingChild(EventLoop* loop) : loop_(loop) {}
+  Status HandleMessage(const Message&) override {
+    attempts_.push_back(loop_->Now());
+    return Status::Unavailable("child down");
+  }
+  const std::vector<TimePoint>& attempts() const { return attempts_; }
+
+ private:
+  EventLoop* loop_;
+  std::vector<TimePoint> attempts_;
+};
+
+// The relay's retry delays to a child that never recovers: NextBackoff
+// from retry_backoff (2 s) x3 up to 10x (20 s), jittered by an Rng seeded
+// from the relay name. The first retry waits exactly retry_backoff.
+// Captured from this implementation; a change to the schedule (or its
+// seeding) shows up here.
+TEST_F(RelayTest, RetryScheduleMatchesGolden) {
+  RefusingChild down(loop_.get());
+  transport_->Register("c2", &down);
+  auto relay = OpenRelay();
+  ASSERT_TRUE(relay.ok()) << relay.status();
+  ASSERT_TRUE((*relay)->HandleMessage(FileMsg(1, "fed_1.dat", "x")).ok());
+  loop_->RunFor(10 * kMinute);
+  ASSERT_GE(down.attempts().size(), 13u);
+  std::vector<Duration> delays;
+  for (size_t i = 1; i <= 12; ++i) {
+    delays.push_back(down.attempts()[i] - down.attempts()[i - 1]);
+  }
+  EXPECT_EQ(delays, (std::vector<Duration>{2000000, 5158357, 4080755,
+                                           11437519, 15200676, 3839123,
+                                           5878054, 10486091, 5794542,
+                                           6763823, 12267625, 15881025}));
+  EXPECT_EQ((*relay)->Backlog(), 1u);  // never given up
 }
 
 TEST_F(RelayTest, CrashReplaysOnlyUnackedChildren) {
@@ -742,7 +783,7 @@ TEST(CascadeTest, RelayMiddleHopSurvivesDownstreamOutageAndCrash) {
   SimClock clock(FromCivil(CivilTime{2010, 9, 25}));
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   RecordingInvoker invoker;
   Logger logger(&clock);
   logger.SetMinLevel(LogLevel::kError);

@@ -495,7 +495,7 @@ TEST(FileSinkEndpointTest, DedupesRedeliveryByFileId) {
 struct TransportRig {
   SimClock clock{0};
   EventLoop loop{&clock};
-  LoopbackTransport base{&loop};
+  SimTransport base{&loop};
   InMemoryFileSystem sink_fs;
   FileSinkEndpoint sink{&sink_fs, "/r"};
 
@@ -553,7 +553,7 @@ struct EngineRig {
   SimClock clock{FromCivil(CivilTime{2010, 9, 25})};
   EventLoop loop{&clock};
   InMemoryFileSystem fs;
-  LoopbackTransport transport{&loop};
+  SimTransport transport{&loop};
   RecordingInvoker invoker;
   Logger logger{&clock};
   std::unique_ptr<BistroServer> server;
@@ -749,7 +749,7 @@ TEST(EndToEndCrcTest, CorruptDeliveryNacksAndRetrySucceeds) {
   SimClock clock(FromCivil(CivilTime{2010, 9, 25}));
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport base(&loop);
+  SimTransport base(&loop);
   CorruptOnceTransport transport(&base);
   RecordingInvoker invoker;
   Logger logger(&clock);
@@ -789,7 +789,7 @@ TEST(ConfigWiringTest, DeliveryBlockTunesTheEngine) {
   SimClock clock(FromCivil(CivilTime{2010, 9, 25}));
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   RecordingInvoker invoker;
   Logger logger(&clock);
   logger.SetMinLevel(LogLevel::kAlarm);
@@ -824,7 +824,7 @@ TEST(ConfigWiringTest, DeliveryFastPathKeysTuneTheEngine) {
   SimClock clock(FromCivil(CivilTime{2010, 9, 25}));
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   RecordingInvoker invoker;
   Logger logger(&clock);
   logger.SetMinLevel(LogLevel::kAlarm);

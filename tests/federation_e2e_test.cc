@@ -24,8 +24,6 @@
 
 #include <csignal>
 #include <cstdlib>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,8 +33,8 @@
 #include "common/strings.h"
 #include "config/parser.h"
 #include "core/server.h"
+#include "exactly_once.h"
 #include "federation/federation.h"
-#include "kv/receipts.h"
 #include "net/socket_transport.h"
 #include "trigger/trigger.h"
 #include "vfs/localfs.h"
@@ -189,12 +187,12 @@ peer down { address "127.0.0.1:1"; feeds FED; }
 
   // ---- Traffic: N files with randomized payloads.
   const int num_files = 32 + static_cast<int>(rng.Uniform(16));
-  std::map<std::string, std::string> expected;
+  ExpectedFiles expected;
   auto deposit = [&](int i) {
     std::string name = StrFormat("fed_%d_202608080%d%02d.dat", i,
                                  1 + i / 60, i % 60);
     std::string content = rng.AlnumString(64 + rng.Uniform(4096));
-    expected[name] = content;
+    expected[name] = {"FED", content};
     ASSERT_TRUE((*server)->Deposit("src", name, content).ok());
   };
 
@@ -247,28 +245,12 @@ peer down { address "127.0.0.1:1"; feeds FED; }
   // ---- Kill the survivor too: the guarantee must already be durable.
   KillDownstream(child);
 
-  // ---- Inspect the downstream's receipt database post-mortem.
-  auto down_db = ReceiptDatabase::Open(&fs, down_root + "/db");
-  ASSERT_TRUE(down_db.ok()) << down_db.status();
-  EXPECT_EQ((*down_db)->ArrivalCount(), expected.size())
+  // ---- Inspect the downstream's receipt database post-mortem: payload
+  // bytes survived two TCP hops and a crash intact.
+  EXPECT_EQ(AuditReceiptDb(&fs, down_root + "/db", expected, seed).size(),
+            expected.size())
       << "downstream ingest count != deposited count (seed " << seed
       << "): a dup or a loss slipped through the crash";
-  std::set<std::string> seen;
-  for (FileId id : (*down_db)->FilesInFeed("FED")) {
-    auto receipt = (*down_db)->GetArrival(id);
-    ASSERT_TRUE(receipt.ok()) << receipt.status();
-    EXPECT_TRUE(seen.insert(receipt->name).second)
-        << "name ingested twice: " << receipt->name << " (seed " << seed
-        << ")";
-    auto it = expected.find(receipt->name);
-    ASSERT_NE(it, expected.end()) << "unexpected file: " << receipt->name;
-    // Payload bytes survived two TCP hops and a crash intact.
-    auto staged = fs.ReadFile(receipt->staged_path);
-    ASSERT_TRUE(staged.ok()) << receipt->staged_path << ": "
-                             << staged.status();
-    EXPECT_EQ(*staged, it->second) << receipt->name;
-  }
-  EXPECT_EQ(seen.size(), expected.size());
 
   transport.Shutdown();
   (void)std::system(("rm -rf " + root).c_str());

@@ -434,7 +434,7 @@ struct ServerRig {
   SimClock clock{FromCivil(CivilTime{2010, 9, 25})};
   EventLoop loop{&clock};
   InMemoryFileSystem fs;
-  LoopbackTransport transport{&loop};
+  SimTransport transport{&loop};
   RecordingInvoker invoker;
   Logger logger{&clock};
   std::unique_ptr<BistroServer> server;
@@ -526,7 +526,7 @@ TEST(IngestServerTest, CommitWithoutScheduleRecoveredByStartupBackfill) {
   // "Restart": a fresh server over the same filesystem.
   SimClock clock{FromCivil(CivilTime{2010, 9, 25, 1, 0, 0})};
   EventLoop loop{&clock};
-  LoopbackTransport transport{&loop};
+  SimTransport transport{&loop};
   RecordingInvoker invoker;
   Logger logger{&clock};
   logger.SetMinLevel(LogLevel::kAlarm);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/random.h"
@@ -184,40 +185,46 @@ TEST(ProtocolTest, TruncationDetected) {
   }
 }
 
-// ---------------------------------------------------------------- Loopback
+// ---------------------------------------------------------------- SimTransport
 
-TEST(LoopbackTransportTest, DeliversToEndpoint) {
+// Without a SimNetwork the transport is the in-process wire: one loop
+// post, no simulated time, the frame codec still in the path.
+TEST(SimTransportTest, InProcessDeliversToEndpoint) {
   SimClock clock(0);
   EventLoop loop(&clock);
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   InMemoryFileSystem fs;
   FileSinkEndpoint sink(&fs, "/dest");
   transport.Register("sub", &sink);
 
   Status result = Status::Internal("callback never ran");
   transport.Send("sub", SampleMessage(), [&](const Status& s) { result = s; });
+  EXPECT_EQ(sink.files_received(), 0u);  // delivery waits for the loop
   loop.RunUntilIdle();
   ASSERT_TRUE(result.ok()) << result;
+  EXPECT_EQ(clock.Now(), 0);
+  EXPECT_EQ(transport.EstimateCost("sub", 1 << 20), 0);
   EXPECT_EQ(sink.files_received(), 1u);
   auto data = fs.ReadFile("/dest/SNMP.CPU/2010/09/25/CPU_POLL1_0502.txt");
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, "some,measurement,rows\n");
 }
 
-TEST(LoopbackTransportTest, UnknownEndpointFails) {
+TEST(SimTransportTest, InProcessUnknownEndpointFails) {
   SimClock clock(0);
   EventLoop loop(&clock);
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   Status result;
   transport.Send("ghost", SampleMessage(), [&](const Status& s) { result = s; });
   loop.RunUntilIdle();
   EXPECT_TRUE(result.IsUnavailable());
+  EXPECT_NE(result.ToString().find("no endpoint: ghost"), std::string::npos);
 }
 
-TEST(LoopbackTransportTest, EndpointErrorPropagates) {
+TEST(SimTransportTest, InProcessEndpointErrorPropagates) {
   SimClock clock(0);
   EventLoop loop(&clock);
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   InMemoryFileSystem fs;
   FileSinkEndpoint sink(&fs, "/dest");
   sink.SetFailing(true);
@@ -229,7 +236,34 @@ TEST(LoopbackTransportTest, EndpointErrorPropagates) {
   EXPECT_EQ(sink.files_received(), 0u);
 }
 
-// ---------------------------------------------------------------- SimTransport
+// The endpoint resolves when the message arrives, not when it is sent:
+// a receiver torn down mid-flight (a crashed process) is never called
+// through a stale pointer; single sends and bundles both bounce.
+TEST(SimTransportTest, InProcessEndpointUnregisteredInFlightIsUnavailable) {
+  SimClock clock(0);
+  EventLoop loop(&clock);
+  SimTransport transport(&loop);
+  InMemoryFileSystem fs;
+  auto sink = std::make_unique<FileSinkEndpoint>(&fs, "/dest");
+  transport.Register("sub", sink.get());
+
+  std::vector<Status> results;
+  auto record = [&](const Status& s) { results.push_back(s); };
+  transport.Send("sub", SampleMessage(), record);
+  std::vector<BundleItem> bundle(2);
+  for (BundleItem& item : bundle) {
+    item.msg = SampleMessage();
+    item.done = record;
+  }
+  transport.SendBundle("sub", std::move(bundle));
+  transport.Unregister("sub");
+  sink.reset();  // under ASan, a stale call is a heap-use-after-free
+  loop.RunUntilIdle();
+  ASSERT_EQ(results.size(), 3u);
+  for (const Status& s : results) {
+    EXPECT_TRUE(s.IsUnavailable()) << s;
+  }
+}
 
 TEST(SimTransportTest, DeliveryTakesSimulatedTime) {
   SimClock clock(0);

@@ -17,7 +17,6 @@
 
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -29,11 +28,11 @@
 #include "common/strings.h"
 #include "config/parser.h"
 #include "core/server.h"
+#include "exactly_once.h"
 #include "fault/partition.h"
 #include "fault/plan.h"
 #include "federation/federation.h"
 #include "federation/health.h"
-#include "kv/receipts.h"
 #include "net/socket_transport.h"
 #include "vfs/localfs.h"
 
@@ -224,7 +223,7 @@ class PartitionE2ETest : public ::testing::TestWithParam<int> {
                                  1 + i / 60, i % 60);
     std::string content =
         rng_->AlnumString(min_bytes + rng_->Uniform(spread));
-    expected_[name] = content;
+    expected_[name] = {"FED", content};
     EXPECT_TRUE(up->server()->Deposit("src", name, content).ok());
     return name;
   }
@@ -245,35 +244,10 @@ class PartitionE2ETest : public ::testing::TestWithParam<int> {
     while (clock_->Now() < deadline) loop_->RunFor(10 * kMillisecond);
   }
 
-  /// Post-mortem audit of one downstream's receipt DB: every ingested
-  /// name unique, expected, payload intact. Returns the names seen.
+  /// Post-mortem audit of one downstream's receipt DB (see
+  /// AuditReceiptDb). Returns the names seen.
   std::set<std::string> AuditExactlyOnce(Downstream* down) {
-    LocalFileSystem fs;
-    auto db = ReceiptDatabase::Open(&fs, down->root() + "/db");
-    EXPECT_TRUE(db.ok()) << db.status();
-    std::set<std::string> seen;
-    if (!db.ok()) return seen;
-    for (FileId id : (*db)->FilesInFeed("FED")) {
-      auto receipt = (*db)->GetArrival(id);
-      EXPECT_TRUE(receipt.ok()) << receipt.status();
-      if (!receipt.ok()) continue;
-      EXPECT_TRUE(seen.insert(receipt->name).second)
-          << "name ingested twice: " << receipt->name << " (seed " << seed_
-          << ")";
-      auto it = expected_.find(receipt->name);
-      EXPECT_NE(it, expected_.end())
-          << "unexpected file: " << receipt->name << " (seed " << seed_
-          << ")";
-      if (it == expected_.end()) continue;
-      auto staged = fs.ReadFile(receipt->staged_path);
-      EXPECT_TRUE(staged.ok()) << receipt->staged_path << ": "
-                               << staged.status();
-      if (staged.ok()) {
-        EXPECT_EQ(*staged, it->second) << receipt->name;
-      }
-    }
-    EXPECT_EQ((*db)->ArrivalCount(), seen.size());
-    return seen;
+    return AuditReceiptDb(&fs_, down->root() + "/db", expected_, seed_);
   }
 
   std::string root_;
@@ -283,7 +257,7 @@ class PartitionE2ETest : public ::testing::TestWithParam<int> {
   LocalFileSystem fs_;
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<Logger> logger_;
-  std::map<std::string, std::string> expected_;
+  ExpectedFiles expected_;
 };
 
 /// One tracked peer with fast health thresholds (tests only; production

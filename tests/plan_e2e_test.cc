@@ -24,13 +24,13 @@
 namespace bistro {
 namespace {
 
-/// A self-contained simulated world: loopback transport, file-sink
+/// A self-contained simulated world: in-process transport, file-sink
 /// subscribers, one server booted from an inline config.
 struct World {
   SimClock clock{FromCivil(CivilTime{2010, 9, 25})};
   EventLoop loop{&clock};
   InMemoryFileSystem fs;
-  LoopbackTransport transport{&loop};
+  SimTransport transport{&loop};
   RecordingInvoker invoker;
   Logger logger{&clock};
   std::map<std::string, std::unique_ptr<FileSinkEndpoint>> sinks;

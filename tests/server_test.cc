@@ -45,7 +45,7 @@ class ServerTest : public ::testing::Test {
     clock_ = std::make_unique<SimClock>(FromCivil(CivilTime{2010, 9, 25}));
     loop_ = std::make_unique<EventLoop>(clock_.get());
     fs_ = std::make_unique<InMemoryFileSystem>();
-    transport_ = std::make_unique<LoopbackTransport>(loop_.get());
+    transport_ = std::make_unique<SimTransport>(loop_.get());
     invoker_ = std::make_unique<RecordingInvoker>();
     logger_ = std::make_unique<Logger>(clock_.get());
     sink_ = std::make_shared<MemorySink>();
@@ -70,7 +70,7 @@ class ServerTest : public ::testing::Test {
   std::unique_ptr<SimClock> clock_;
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<InMemoryFileSystem> fs_;
-  std::unique_ptr<LoopbackTransport> transport_;
+  std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<RecordingInvoker> invoker_;
   std::unique_ptr<Logger> logger_;
   std::shared_ptr<MemorySink> sink_;
@@ -311,7 +311,7 @@ TEST(ServerCreateTest, RefusesFeedTableOverCompileBudget) {
   SimClock clock(0);
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   RecordingInvoker invoker;
   Logger logger(&clock);
   auto server = BistroServer::Create(BistroServer::Options(), *config, &fs,
@@ -336,7 +336,7 @@ TEST(ServerCreateTest, LoadsResidualFeedsWithWarning) {
   SimClock clock(0);
   EventLoop loop(&clock);
   InMemoryFileSystem fs;
-  LoopbackTransport transport(&loop);
+  SimTransport transport(&loop);
   RecordingInvoker invoker;
   Logger logger(&clock);
   auto sink = std::make_shared<MemorySink>();

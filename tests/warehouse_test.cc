@@ -92,7 +92,7 @@ TEST(WarehouseTest, BatchTriggerRecomputesOncePerBatch) {
     SimClock clock(FromCivil(CivilTime{2010, 9, 25}));
     EventLoop loop(&clock);
     InMemoryFileSystem fs;
-    LoopbackTransport transport(&loop);
+    SimTransport transport(&loop);
     CallbackInvoker invoker;
     Logger logger(&clock);
     logger.SetMinLevel(LogLevel::kAlarm);
