@@ -189,7 +189,7 @@ const std::vector<Key<SubscriberSpec>> kSubscriberKeys = {
     Dur("window", &SubscriberSpec::window),
 };
 
-// ------------------------------------------- subscriber group and relay
+// ----------------------------------------------------- subscriber group
 
 const std::vector<Key<GroupSpec>> kGroupKeys = {
     List("feeds", &GroupSpec::feeds).Required(),
@@ -205,13 +205,6 @@ std::string CheckGroup(const GroupSpec& group) {
   }
   return "";
 }
-
-const std::vector<Key<RelaySpec>> kRelayKeys = {
-    List("children", &RelaySpec::children).Required(),
-    Str("spool", &RelaySpec::spool),
-    Dur("retry_backoff", &RelaySpec::retry_backoff, true),
-    Int("max_attempts", &RelaySpec::max_attempts, 1),
-};
 
 // ------------------------------------------------------------------ plan
 
@@ -521,14 +514,13 @@ const std::vector<Statement> kStatements = {
     Overlay("server", &ServerConfig::server, &kServerKeys),
     Named("peer", &ServerConfig::peers, &PeerSpec::name, &kPeerKeys,
           CheckPeer),
-    Named("relay", &ServerConfig::relays, &RelaySpec::name, &kRelayKeys),
 };
 
 // Checks that need the whole config. Deeper plan checks (unknown feeds,
 // route targets, replication vs the peer fleet) run in the plan compiler,
 // which sees the resolved registry.
 Status CheckConfig(const ServerConfig& config) {
-  std::set<std::string> peers, subscribers, groups, relays, plans;
+  std::set<std::string> peers, subscribers, groups, plans;
   for (const PeerSpec& peer : config.peers) peers.insert(peer.name);
   for (const PeerSpec& peer : config.peers) {
     if (!peer.failover.empty() && peers.count(peer.failover) == 0) {
@@ -548,11 +540,6 @@ Status CheckConfig(const ServerConfig& config) {
     }
     if (!groups.insert(group.name).second) {
       return Status::InvalidArgument("duplicate group: " + group.name);
-    }
-  }
-  for (const RelaySpec& relay : config.relays) {
-    if (!relays.insert(relay.name).second) {
-      return Status::InvalidArgument("duplicate relay: " + relay.name);
     }
   }
   for (const PlanSpec& plan : config.plans) {

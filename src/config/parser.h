@@ -14,7 +14,7 @@ namespace bistro {
 ///
 ///   feed NAME { pattern "..."; ... }      group NAME { feed ...; group ...; }
 ///   subscriber NAME { feeds A, B; ... }   group NAME { feeds ...; members ...; }
-///   plan SELECTOR { ... }  peer NAME { ... }  relay NAME { ... }
+///   plan SELECTOR { ... }  peer NAME { ... }
 ///   delivery { }  ingest { }  analyzer { }  receipts { }  server { }
 ///
 /// Each block's keys, their value syntax and bounds are declared once, in

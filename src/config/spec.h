@@ -98,22 +98,6 @@ struct GroupSpec {
   bool operator==(const GroupSpec&) const = default;
 };
 
-/// A dissemination relay (the config's `relay <name> { ... }` block):
-/// one upstream send re-fans out to `children` endpoints, composing
-/// with federation (children may be peers) so one upstream transmission
-/// serves a downstream tree. The relay acks upstream only after the
-/// message is durably spooled; forwarding then proceeds asynchronously
-/// with retries, and downstream receipt/FileId dedupe absorbs replays.
-struct RelaySpec {
-  std::string name;                   // also the relay's endpoint name
-  std::vector<std::string> children;  // downstream endpoint identifiers
-  std::string spool;                  // durable spool directory
-  std::optional<Duration> retry_backoff;
-  std::optional<int> max_attempts;
-
-  bool operator==(const RelaySpec&) const = default;
-};
-
 /// Receipt-store tuning (the config's `receipts { ... }` block). Every
 /// field is optional, mirroring the other tuning blocks.
 struct ReceiptTuningSpec {
@@ -306,7 +290,6 @@ struct ServerConfig {
   std::vector<FeedSpec> feeds;
   std::vector<SubscriberSpec> subscribers;
   std::vector<GroupSpec> groups;
-  std::vector<RelaySpec> relays;
   DeliveryTuningSpec delivery;
   IngestTuningSpec ingest;
   AnalyzerTuningSpec analyzer;

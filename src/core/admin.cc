@@ -132,22 +132,22 @@ std::string RenderDeadLetters(BistroServer* server) {
 }
 
 std::string RenderSubscriptions(BistroServer* server,
-                                const AdminFanout& fanout) {
+                                fanout::GroupManager* groups) {
   std::string out = "=== Subscriptions ===\n";
   size_t individuals = 0;
   for (const SubscriberSpec& sub : server->registry()->subscribers()) {
-    if (fanout.groups != nullptr && fanout.groups->relay(sub.name) != nullptr) {
+    if (groups != nullptr && groups->relay(sub.name) != nullptr) {
       continue;  // rendered below as a group
     }
     ++individuals;
   }
   out += StrFormat("individual subscribers: %zu\n", individuals);
-  if (fanout.groups == nullptr || fanout.groups->groups().empty()) {
+  if (groups == nullptr || groups->groups().empty()) {
     out += "groups: none\n";
   } else {
     out += "groups:\n";
-    for (const GroupSpec& spec : fanout.groups->groups()) {
-      const fanout::GroupRelay* relay = fanout.groups->relay(spec.name);
+    for (const GroupSpec& spec : groups->groups()) {
+      const fanout::GroupRelay* relay = groups->relay(spec.name);
       if (relay == nullptr) continue;
       out += StrFormat(
           "  %-20s %4zu member(s)  cursor %-8llu acked %-7llu "
@@ -163,25 +163,6 @@ std::string RenderSubscriptions(BistroServer* server,
         out += StrFormat("    - %-20s delivered %-7llu%s\n", m.name.c_str(),
                          (unsigned long long)m.delivered, flag.c_str());
       }
-    }
-  }
-  if (fanout.relay_specs.empty()) {
-    out += "relays: none\n";
-  } else {
-    out += "relays:\n";
-    for (const RelaySpec& spec : fanout.relay_specs) {
-      int depth = fanout::RelayTreeDepth(fanout.relay_specs, spec.name);
-      std::string live;
-      for (const fanout::RelayNode* node : fanout.relay_nodes) {
-        if (node != nullptr && node->name() == spec.name) {
-          live = StrFormat("  backlog %zu, received %llu, forwarded %llu",
-                           node->Backlog(),
-                           (unsigned long long)node->received(),
-                           (unsigned long long)node->forwarded());
-        }
-      }
-      out += StrFormat("  %-20s depth %d  children: %s%s\n", spec.name.c_str(),
-                       depth, Join(spec.children, ", ").c_str(), live.c_str());
     }
   }
   return out;
@@ -308,11 +289,11 @@ std::string RenderPlans(BistroServer* server) {
 std::string ExecuteAdminCommand(BistroServer* server,
                                 const std::string& command,
                                 FederationRuntime* federation,
-                                const AdminFanout& fanout) {
+                                fanout::GroupManager* groups) {
   std::string cmd(Trim(command));
-  if (cmd == "status") return RenderStatusReport(server, fanout.groups);
+  if (cmd == "status") return RenderStatusReport(server, groups);
   if (cmd == "classifier") return RenderClassifier(server);
-  if (cmd == "subscriptions") return RenderSubscriptions(server, fanout);
+  if (cmd == "subscriptions") return RenderSubscriptions(server, groups);
   if (cmd == "deadletters") return RenderDeadLetters(server);
   if (cmd == "redrive") {
     size_t n = server->delivery()->dead_letters().size();

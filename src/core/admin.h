@@ -2,23 +2,11 @@
 #define BISTRO_CORE_ADMIN_H_
 
 #include <string>
-#include <vector>
 
 #include "core/server.h"
 #include "fanout/group.h"
-#include "fanout/relay.h"
 
 namespace bistro {
-
-/// Fan-out state the console renders when the embedding process wired
-/// groups or relays (all optional; a plain server passes none).
-struct AdminFanout {
-  fanout::GroupManager* groups = nullptr;
-  /// Config relay blocks (for the tree-depth view) and the live nodes
-  /// hosted by this process (for spool backlog). Either may be empty.
-  std::vector<RelaySpec> relay_specs;
-  std::vector<const fanout::RelayNode*> relay_nodes;
-};
 
 /// Renders a human-readable status report of a running server: per-feed
 /// progress (files, volume, learned period, stall state), per-subscriber
@@ -30,12 +18,12 @@ struct AdminFanout {
 std::string RenderStatusReport(BistroServer* server,
                                fanout::GroupManager* groups = nullptr);
 
-/// Renders the fan-out view behind the `subscriptions` command: each
-/// subscriber group's member count, shared delivery cursor, straggler
-/// lag and per-member state, plus each relay's tree depth, children and
-/// (for relays hosted in this process) live spool backlog.
+/// Renders the fan-out view behind the `subscriptions` command: the
+/// individual subscriber count, then each subscriber group's member
+/// count, shared delivery cursor, straggler lag and per-member state.
+/// `groups` is null when the process wired no groups.
 std::string RenderSubscriptions(BistroServer* server,
-                                const AdminFanout& fanout);
+                                fanout::GroupManager* groups);
 
 /// Renders the delivery dead-letter queue: one line per job that
 /// exhausted its retry budget, with the file, subscriber and attempt
@@ -53,7 +41,7 @@ class FederationRuntime;
 /// Executes one operator console command against a running server and
 /// returns the rendered result. Commands:
 ///   status        — full status report (RenderStatusReport)
-///   subscriptions — group/relay fan-out view (RenderSubscriptions)
+///   subscriptions — subscriber group fan-out view (RenderSubscriptions)
 ///   deadletters   — list parked dead-letter jobs (RenderDeadLetters)
 ///   redrive       — resubmit every dead-letter job with a fresh budget
 ///   peers         — per-peer health/wire table (needs a FederationRuntime)
@@ -62,20 +50,12 @@ class FederationRuntime;
 /// Unknown commands return an error string (never crash): this is the
 /// dispatch surface behind `bistrod --admin-file`. `federation` may be
 /// null (non-federated daemon): `peers` then reports that no peers are
-/// wired; likewise `fanout` defaults to empty for a plain server.
+/// wired; likewise `groups` is null for a server without subscriber
+/// groups.
 std::string ExecuteAdminCommand(BistroServer* server,
                                 const std::string& command,
-                                FederationRuntime* federation,
-                                const AdminFanout& fanout);
-inline std::string ExecuteAdminCommand(BistroServer* server,
-                                       const std::string& command,
-                                       FederationRuntime* federation) {
-  return ExecuteAdminCommand(server, command, federation, AdminFanout());
-}
-inline std::string ExecuteAdminCommand(BistroServer* server,
-                                       const std::string& command) {
-  return ExecuteAdminCommand(server, command, nullptr, AdminFanout());
-}
+                                FederationRuntime* federation = nullptr,
+                                fanout::GroupManager* groups = nullptr);
 
 }  // namespace bistro
 

@@ -178,7 +178,12 @@ void KvStore::MaybeAutoCheckpointLocked() {
       wal_.SizeBytes() <= options_.checkpoint_wal_bytes) {
     return;
   }
-  // Best-effort background-style checkpoint; failure leaves WAL intact.
+  // Best-effort: a failed checkpoint leaves the WAL intact, so
+  // durability is unaffected and the status is swallowed.
+  (void)CheckpointLocked();
+}
+
+Status KvStore::CheckpointLocked() {
   std::string body;
   for (const auto& [k, v] : table_) {
     PutLengthPrefixed(&body, k);
@@ -189,10 +194,9 @@ void KvStore::MaybeAutoCheckpointLocked() {
   std::memcpy(crc_buf, &crc, 4);
   body.append(crc_buf, 4);
   std::string tmp = path::Join(dir_, kCheckpointTmp);
-  Status s = fs_->WriteFile(tmp, body);
-  if (s.ok()) s = fs_->Rename(tmp, path::Join(dir_, kCheckpointFile));
-  if (s.ok()) s = wal_.Truncate();
-  // Swallow checkpoint failures: durability is unaffected.
+  BISTRO_RETURN_IF_ERROR(fs_->WriteFile(tmp, body));
+  BISTRO_RETURN_IF_ERROR(fs_->Rename(tmp, path::Join(dir_, kCheckpointFile)));
+  return wal_.Truncate();
 }
 
 Status KvStore::Put(std::string key, std::string value) {
@@ -234,19 +238,7 @@ size_t KvStore::Size() const {
 
 Status KvStore::Checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string body;
-  for (const auto& [k, v] : table_) {
-    PutLengthPrefixed(&body, k);
-    PutLengthPrefixed(&body, v);
-  }
-  uint32_t crc = Crc32(body);
-  char crc_buf[4];
-  std::memcpy(crc_buf, &crc, 4);
-  body.append(crc_buf, 4);
-  std::string tmp = path::Join(dir_, kCheckpointTmp);
-  BISTRO_RETURN_IF_ERROR(fs_->WriteFile(tmp, body));
-  BISTRO_RETURN_IF_ERROR(fs_->Rename(tmp, path::Join(dir_, kCheckpointFile)));
-  return wal_.Truncate();
+  return CheckpointLocked();
 }
 
 uint64_t KvStore::WalBytes() const {

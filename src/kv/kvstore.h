@@ -91,6 +91,7 @@ class KvStore {
   Status ApplyLocked(const std::vector<Write>& batch);
   void ApplyToTableLocked(const std::vector<Write>& batch);
   void MaybeAutoCheckpointLocked();
+  Status CheckpointLocked();
   static std::string EncodeBatch(const std::vector<Write>& batch);
   static Status DecodeBatch(std::string_view record, std::vector<Write>* batch);
 

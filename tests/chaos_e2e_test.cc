@@ -36,11 +36,11 @@
 #include "core/server.h"
 #include "exactly_once.h"
 #include "fanout/group.h"
-#include "fanout/relay.h"
 #include "fault/faulty_transport.h"
 #include "fault/faulty_vfs.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "federation/federation.h"
 #include "obs/export.h"
 #include "vfs/memfs.h"
 
@@ -79,8 +79,8 @@ struct Sink {
 
 /// The world every chaos scenario shares:
 ///  - a seeded fault plan: moderate, seed-scaled probabilities on every
-///    path (landing, staging, receipt DB, spools) and every send, sub0's
-///    link down from +10m to +25m, and optionally sub1's link 2x slower;
+///    path (landing, staging, receipt DB) and every send, sub0's link
+///    down from +10m to +25m, and optionally sub1's link 2x slower;
 ///  - a sim clock and loop, a faulty FS over memfs, and a faulty
 ///    transport over a simulated WAN;
 ///  - crash-consistent server options with patient retries;
@@ -424,12 +424,14 @@ class OutageEndpoint : public Endpoint {
 // Same world, same fault plan, same crash — with the million-subscriber
 // fan-out stack enabled end to end: a subscriber group (one delivery
 // cursor + one receipt row shared by three members, straggler catch-up
-// for a member that is hard-down across the crash), a dissemination
-// relay (durable spool, ack-then-forward) in front of two leaves, and
-// the receipt database hash-sharded four ways. Exactly-once must hold at
-// every terminal endpoint: group members, relay leaves and the plain
-// subscriber all land each matching file exactly once, and the group
-// still holds only ONE delivery receipt row per file.
+// for a member that is hard-down across the crash), a relay in front of
+// two leaves, and the receipt database hash-sharded four ways. The relay
+// is a second, pass-through Bistro server (the paper's Fig. 1 cascade):
+// it takes the origin's push through a FederationInbound and its leaves
+// are its own subscribers. Exactly-once must hold at every terminal
+// endpoint: group members, relay leaves and the plain subscriber all
+// land each matching file exactly once, and the group still holds only
+// ONE delivery receipt row per file.
 TEST_P(ChaosE2ETest, FanoutGroupsRelaysShardsExactlyOnceUnderFaultsAndCrash) {
   const uint64_t s = static_cast<uint64_t>(Seed());
   ChaosWorld w(Seed(), {s * 68111 + 23, s * 79 + 31, s * 109 + 21},
@@ -444,22 +446,34 @@ TEST_P(ChaosE2ETest, FanoutGroupsRelaysShardsExactlyOnceUnderFaultsAndCrash) {
                           w.start + 5 * kMinute, w.start + 40 * kMinute);
   for (const char* l : {"leaf0", "leaf1"}) w.AddSink(l);
 
-  // The relay and the group manager live and die with the server. The
-  // relay restarts from its durable spool (replaying entries the crash
-  // left with unacked children), on the same faulty transport.
-  std::unique_ptr<fanout::RelayNode> relay;
+  // The relay server shares the world's faulty filesystem and transport
+  // and its crash-consistent options, with its own roots and registry.
+  auto relay_config = ParseConfig(R"(
+feed FEEDB { pattern "feedb_%i_%Y%m%d%H%M.dat"; tardiness 2m; }
+subscriber leaf0 { feeds FEEDB; method push; }
+subscriber leaf1 { feeds FEEDB; method push; }
+)");
+  ASSERT_TRUE(relay_config.ok()) << relay_config.status();
+  MetricsRegistry relay_registry;
+  BistroServer::Options relay_opts = w.opts;
+  relay_opts.landing_root = "/relay/landing";
+  relay_opts.staging_root = "/relay/staging";
+  relay_opts.db_dir = "/relay/db";
+  relay_opts.metrics = &relay_registry;
+
+  // The relay server and the group manager live and die with the origin.
+  // The relay reopens from its receipts, on the same faulty transport.
+  std::unique_ptr<BistroServer> relay;
+  std::unique_ptr<FederationInbound> relay_inbound;
   std::unique_ptr<fanout::GroupManager> groups;
   w.on_boot = [&](bool rebooting) {
-    fanout::RelayNode::Options relay_options;
-    relay_options.spool_dir = "/bistro/relay-spool";
-    relay_options.retry_backoff = 3 * kSecond;
-    relay_options.kv.sync_wal = true;
-    auto opened = fanout::RelayNode::Open("relayR", {"leaf0", "leaf1"}, &w.fs,
-                                          &w.transport, &w.loop, &w.logger,
-                                          relay_options);
+    auto opened = BistroServer::Create(relay_opts, *relay_config, &w.fs,
+                                       &w.transport, &w.loop, &w.invoker,
+                                       &w.logger);
     ASSERT_TRUE(opened.ok()) << opened.status();
     relay = std::move(*opened);
-    w.sim_transport.Register("relayR", relay.get());
+    relay_inbound = std::make_unique<FederationInbound>(relay.get(), &w.logger);
+    w.sim_transport.Register("relayR", relay_inbound.get());
     fanout::GroupManager::Options group_options;
     group_options.catchup_interval = 45 * kSecond;
     groups = std::make_unique<fanout::GroupManager>(
@@ -484,6 +498,7 @@ TEST_P(ChaosE2ETest, FanoutGroupsRelaysShardsExactlyOnceUnderFaultsAndCrash) {
     w.sim_transport.Unregister("relayR");
     w.sim_transport.Unregister("grp1");
     groups.reset();
+    relay_inbound.reset();
     relay.reset();
   };
   ASSERT_NO_FATAL_FAILURE(w.Start(std::string(kTwoFeeds) + R"(
@@ -500,6 +515,7 @@ receipts { shards 4; }
   w.Run();
 
   ASSERT_NO_FATAL_FAILURE(w.ExpectConverged());
+  ASSERT_NE(relay, nullptr);
   EXPECT_GT(m2_flaky.rejected(), 0u)
       << "member outage window saw no traffic (seed " << w.seed << ")";
   // The plain subscriber sees both feeds, every group member (including
@@ -524,17 +540,25 @@ receipts { shards 4; }
   for (size_t i = 0; i < w.server->receipts()->shard_count(); ++i) {
     group_rows += w.server->receipts()->kv(i)->ScanPrefix("d/grp1/").size();
   }
-  size_t want_a = 0;
-  for (const auto& [name, file] : w.expected) want_a += file.feed == "FEEDA";
-  EXPECT_EQ(group_rows, want_a)
+  ExpectedFiles feedb;
+  for (const auto& [name, file] : w.expected) {
+    if (file.feed == "FEEDB") feedb[name] = file;
+  }
+  EXPECT_EQ(group_rows, w.expected.size() - feedb.size())
       << "group receipt rows != FEEDA files (seed " << w.seed << ")";
 
-  // Relay spool drained; queues recompute empty; nothing dead-lettered.
-  EXPECT_EQ(relay->Backlog(), 0u);
+  // Both servers' queues recompute empty; nothing dead-lettered.
   ExpectDrained(w.server.get(), {"sub0", "relaysub", "grp1"}, w.seed);
+  ExpectDrained(relay.get(), {"leaf0", "leaf1"}, w.seed);
   EXPECT_EQ(w.server->registry()->subscriber_scans(), 0u)
       << "fan-out fell back to the full subscriber scan";
+  // Both receipt databases, cold: the relay's holds every FEEDB file once.
   w.AuditReceiptsCold();
+  EXPECT_EQ(
+      AuditReceiptDb(&w.base_fs, relay_opts.db_dir, feedb, w.seed).size(),
+      feedb.size())
+      << "the relay lost a file before its arrival receipt (seed " << w.seed
+      << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosE2ETest, ::testing::Range(0, 5));

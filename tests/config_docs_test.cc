@@ -1,11 +1,12 @@
 // Keeps the operator documentation honest: every ```bistro fenced snippet
 // in docs/ must parse with the real config parser, every ```bistro-fault
-// snippet with the real fault-plan parser, configs/example.conf must load
+// snippet with the real fault-plan parser, every configs/*.conf must load
 // and round-trip, and the key tables of OPERATIONS.md and PLANS.md must
 // list exactly the keys the parsers declare, with the declared value
 // syntax and every alias, while OPERATIONS.md shows every block in a
-// snippet — so neither the docs nor the example can silently rot.
+// snippet — so neither the docs nor the shipped configs can silently rot.
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -29,7 +30,7 @@ std::string ReadFileOrDie(const std::string& path) {
   return out.str();
 }
 
-std::string DocPath(const char* rel) {
+std::string DocPath(const std::string& rel) {
   return std::string(BISTRO_REPO_ROOT) + "/" + rel;
 }
 
@@ -205,16 +206,31 @@ void ExpectKeyTable(const char* rel, const syntax::BlockDoc& block) {
                 << " block; expected rows:" << listed;
 }
 
-TEST(ConfigDocsTest, ExampleConfParsesAndRoundTrips) {
-  const std::string text = ReadFileOrDie(DocPath("configs/example.conf"));
-  auto config = ParseConfig(text);
-  ASSERT_TRUE(config.ok()) << config.status().message();
-  EXPECT_FALSE(config->feeds.empty());
-  EXPECT_FALSE(config->subscribers.empty());
+// Every shipped config (the example and the federation upstream, relay
+// and downstream that CI runs as separate processes) loads and
+// round-trips through the formatter.
+TEST(ConfigDocsTest, ShippedConfigsParseAndRoundTrip) {
+  std::set<std::string> shipped;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(DocPath("configs"))) {
+    if (entry.path().extension() == ".conf") {
+      shipped.insert(entry.path().filename().string());
+    }
+  }
+  EXPECT_EQ(shipped, (std::set<std::string>{
+                         "example.conf", "federation-downstream.conf",
+                         "federation-relay.conf", "federation-upstream.conf"}));
+  for (const std::string& name : shipped) {
+    SCOPED_TRACE(name);
+    auto config = ParseConfig(ReadFileOrDie(DocPath("configs/") + name));
+    ASSERT_TRUE(config.ok()) << config.status().message();
+    EXPECT_FALSE(config->feeds.empty());
+    EXPECT_FALSE(config->subscribers.empty() && config->peers.empty());
 
-  auto reparsed = ParseConfig(FormatConfig(*config));
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
-  EXPECT_EQ(FormatConfig(*config), FormatConfig(*reparsed));
+    auto reparsed = ParseConfig(FormatConfig(*config));
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
+    EXPECT_EQ(FormatConfig(*config), FormatConfig(*reparsed));
+  }
 }
 
 TEST(ConfigDocsTest, OperationsSnippetsParse) {

@@ -145,7 +145,6 @@ TEST(ConfigParseTest, RepeatedListKeysAppend) {
   auto config = ParseConfig(R"(
 subscriber s { feeds A; feeds B, C; }
 group g { feeds A; members m1; members m2; }
-relay r { children c1; children c2; }
 peer p { address "h:1"; feeds A; feeds B; }
 plan A { route s; route g; enrich provenance; enrich checksum; }
 )");
@@ -153,7 +152,6 @@ plan A { route s; route g; enrich provenance; enrich checksum; }
   using V = std::vector<std::string>;
   EXPECT_EQ(config->subscribers[0].feeds, (V{"A", "B", "C"}));
   EXPECT_EQ(config->groups[0].members, (V{"m1", "m2"}));
-  EXPECT_EQ(config->relays[0].children, (V{"c1", "c2"}));
   EXPECT_EQ(config->peers[0].feeds, (V{"A", "B"}));
   EXPECT_EQ(config->plans[0].route, (V{"s", "g"}));
   EXPECT_EQ(config->plans[0].enrich, (V{"provenance", "checksum"}));
@@ -445,16 +443,22 @@ delivery {
   EXPECT_EQ(*reparsed, *config) << formatted;
 }
 
-TEST(ConfigFormatTest, ClassifierBlockIsRefused) {
-  // The classifier has one engine, so the old `classifier { mode }` block
-  // is an unknown block, reported at its line and column.
-  auto config = ParseConfig(
-      "feed F { pattern \"f_%i\"; }\nclassifier { mode automaton; }\n");
-  ASSERT_FALSE(config.ok());
-  EXPECT_NE(config.status().message().find("line 2:1"), std::string::npos)
-      << config.status();
-  EXPECT_NE(config.status().message().find("classifier"), std::string::npos)
-      << config.status();
+TEST(ConfigFormatTest, RemovedBlocksAreRefused) {
+  // Removed blocks are unknown blocks, reported at their line and column:
+  // the classifier has one engine, so `classifier { mode }` is gone, and
+  // a relay is a pass-through server, so `relay { }` is gone.
+  const std::pair<std::string, std::string> removed[] = {
+      {"classifier", "classifier { mode automaton; }"},
+      {"relay", "relay r { children c1; }"},
+  };
+  for (const auto& [keyword, block] : removed) {
+    auto config = ParseConfig("feed F { pattern \"f_%i\"; }\n" + block);
+    ASSERT_FALSE(config.ok()) << block;
+    EXPECT_NE(config.status().message().find("line 2:1"), std::string::npos)
+        << config.status();
+    EXPECT_NE(config.status().message().find(keyword), std::string::npos)
+        << config.status();
+  }
 }
 
 TEST(ConfigFormatTest, RoundTripsThroughParse) {

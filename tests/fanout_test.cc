@@ -1,9 +1,9 @@
 // Fan-out subsystem tests: subscription index (and the no-full-scan
-// regression probe), subscriber groups with straggler catch-up,
-// dissemination relays with durable spools and crash replay, sharded
+// regression probe), subscriber groups with straggler catch-up, sharded
 // receipt stores (torn-tail rollback, golden equivalence vs the
 // unsharded layout), the admin `subscriptions` view, and a multi-hop
-// cascade (server -> relay -> federated server) smoke test.
+// cascade (server -> pass-through relay server -> federated server)
+// across a relay crash.
 
 #include <vector>
 
@@ -15,7 +15,6 @@
 #include "core/admin.h"
 #include "core/server.h"
 #include "fanout/group.h"
-#include "fanout/relay.h"
 #include "fanout/subscription_index.h"
 #include "federation/federation.h"
 #include "kv/receipts.h"
@@ -62,12 +61,6 @@ group analytics {
   straggler_after 5;
 }
 feed OTHER { pattern "other_%s.dat"; }
-relay edge1 {
-  children analytics, leaf9;
-  spool "/spool/edge1";
-  retry_backoff 5s;
-  max_attempts 4;
-}
 receipts { shards 8; }
 )");
   ASSERT_TRUE(config.ok()) << config.status();
@@ -78,13 +71,6 @@ receipts { shards 8; }
   EXPECT_EQ(g.members, (std::vector<std::string>{"a1", "a2", "a3"}));
   EXPECT_EQ(g.window, 2 * kDay);
   EXPECT_EQ(g.straggler_after, 5);
-  ASSERT_EQ(config->relays.size(), 1u);
-  const RelaySpec& r = config->relays[0];
-  EXPECT_EQ(r.name, "edge1");
-  EXPECT_EQ(r.children, (std::vector<std::string>{"analytics", "leaf9"}));
-  EXPECT_EQ(r.spool, "/spool/edge1");
-  EXPECT_EQ(r.retry_backoff, 5 * kSecond);
-  EXPECT_EQ(r.max_attempts, 4);
   EXPECT_EQ(config->receipts.shards, 8);
 }
 
@@ -92,7 +78,6 @@ TEST(FanoutConfigTest, FormatRoundTripsFanoutBlocks) {
   auto config = ParseConfig(R"(
 feed FED { pattern "fed_%i.dat"; }
 group g1 { feeds FED; members m1, m2; straggler_after 2; }
-relay r1 { children m1; spool "/sp"; }
 receipts { shards 4; }
 )");
   ASSERT_TRUE(config.ok()) << config.status();
@@ -110,8 +95,7 @@ TEST(FanoutConfigTest, RejectsInvalidFanoutBlocks) {
   // Subscriber groups cannot nest inside a feed-hierarchy group.
   EXPECT_FALSE(
       ParseConfig("group SNMP { group g { feeds F; members a; } }").ok());
-  // Relays need children; shard count is bounded.
-  EXPECT_FALSE(ParseConfig("relay r { spool \"/s\"; }").ok());
+  // Shard count is bounded.
   EXPECT_FALSE(ParseConfig("receipts { shards 0; }").ok());
   EXPECT_FALSE(ParseConfig("receipts { shards 512; }").ok());
 }
@@ -589,182 +573,24 @@ TEST(ShardedReceiptsTest, TornShardTailLosesOnlyThatShardsSuffix) {
   EXPECT_GE(*next, 9u);
 }
 
-// ------------------------------------------------- dissemination relay
-
-class RelayTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    clock_ = std::make_unique<SimClock>(FromCivil(CivilTime{2010, 9, 25}));
-    loop_ = std::make_unique<EventLoop>(clock_.get());
-    fs_ = std::make_unique<InMemoryFileSystem>();
-    transport_ = std::make_unique<SimTransport>(loop_.get());
-    logger_ = std::make_unique<Logger>(clock_.get());
-    logger_->SetMinLevel(LogLevel::kError);
-    c1_ = std::make_unique<FileSinkEndpoint>(fs_.get(), "/c1");
-    c2_ = std::make_unique<FileSinkEndpoint>(fs_.get(), "/c2");
-    transport_->Register("c1", c1_.get());
-    transport_->Register("c2", c2_.get());
-  }
-
-  Result<std::unique_ptr<RelayNode>> OpenRelay() {
-    RelayNode::Options options;
-    options.spool_dir = "/spool/r1";
-    return RelayNode::Open("r1", {"c1", "c2"}, fs_.get(), transport_.get(),
-                           loop_.get(), logger_.get(), options);
-  }
-
-  std::unique_ptr<SimClock> clock_;
-  std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<InMemoryFileSystem> fs_;
-  std::unique_ptr<SimTransport> transport_;
-  std::unique_ptr<Logger> logger_;
-  std::unique_ptr<FileSinkEndpoint> c1_;
-  std::unique_ptr<FileSinkEndpoint> c2_;
-};
-
-TEST_F(RelayTest, AcksAfterSpoolThenFansOutAndDrains) {
-  auto relay = OpenRelay();
-  ASSERT_TRUE(relay.ok()) << relay.status();
-
-  // The upstream ack is synchronous (after the durable spool write);
-  // fan-out to the children happens on the loop afterwards.
-  ASSERT_TRUE((*relay)->HandleMessage(FileMsg(1, "fed_1.dat", "x")).ok());
-  EXPECT_EQ((*relay)->Backlog(), 1u);
-  EXPECT_EQ(c1_->files_received(), 0u);
-  loop_->RunUntilIdle();
-  EXPECT_EQ(c1_->files_received(), 1u);
-  EXPECT_EQ(c2_->files_received(), 1u);
-  EXPECT_EQ((*relay)->forwarded(), 2u);
-  EXPECT_EQ((*relay)->Backlog(), 0u);
-  // Fully-acked entries leave the spool (nothing to replay on reopen).
-  relay->reset();
-  auto reopened = OpenRelay();
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->replayed(), 0u);
-}
-
-TEST_F(RelayTest, RetriesFailedChildWithBackoff) {
-  auto relay = OpenRelay();
-  ASSERT_TRUE(relay.ok());
-  c2_->SetFailing(true);
-  ASSERT_TRUE((*relay)->HandleMessage(FileMsg(1, "fed_1.dat", "x")).ok());
-  loop_->RunFor(5 * kSecond);
-  EXPECT_EQ(c1_->files_received(), 1u);
-  EXPECT_EQ(c2_->files_received(), 0u);
-  EXPECT_EQ((*relay)->Backlog(), 1u);  // still owed to c2
-
-  c2_->SetFailing(false);
-  loop_->RunFor(kMinute);
-  EXPECT_EQ(c2_->files_received(), 1u);
-  EXPECT_EQ((*relay)->Backlog(), 0u);
-  EXPECT_EQ(c1_->duplicates(), 0u);  // retry targeted only the failed child
-}
-
-// A child that refuses every file and notes when each attempt arrived.
-class RefusingChild : public Endpoint {
- public:
-  explicit RefusingChild(EventLoop* loop) : loop_(loop) {}
-  Status HandleMessage(const Message&) override {
-    attempts_.push_back(loop_->Now());
-    return Status::Unavailable("child down");
-  }
-  const std::vector<TimePoint>& attempts() const { return attempts_; }
-
- private:
-  EventLoop* loop_;
-  std::vector<TimePoint> attempts_;
-};
-
-// The relay's retry delays to a child that never recovers: NextBackoff
-// from retry_backoff (2 s) x3 up to 10x (20 s), jittered by an Rng seeded
-// from the relay name. The first retry waits exactly retry_backoff.
-// Captured from this implementation; a change to the schedule (or its
-// seeding) shows up here.
-TEST_F(RelayTest, RetryScheduleMatchesGolden) {
-  RefusingChild down(loop_.get());
-  transport_->Register("c2", &down);
-  auto relay = OpenRelay();
-  ASSERT_TRUE(relay.ok()) << relay.status();
-  ASSERT_TRUE((*relay)->HandleMessage(FileMsg(1, "fed_1.dat", "x")).ok());
-  loop_->RunFor(10 * kMinute);
-  ASSERT_GE(down.attempts().size(), 13u);
-  std::vector<Duration> delays;
-  for (size_t i = 1; i <= 12; ++i) {
-    delays.push_back(down.attempts()[i] - down.attempts()[i - 1]);
-  }
-  EXPECT_EQ(delays, (std::vector<Duration>{2000000, 5158357, 4080755,
-                                           11437519, 15200676, 3839123,
-                                           5878054, 10486091, 5794542,
-                                           6763823, 12267625, 15881025}));
-  EXPECT_EQ((*relay)->Backlog(), 1u);  // never given up
-}
-
-TEST_F(RelayTest, CrashReplaysOnlyUnackedChildren) {
-  {
-    auto relay = OpenRelay();
-    ASSERT_TRUE(relay.ok());
-    c2_->SetFailing(true);
-    ASSERT_TRUE((*relay)->HandleMessage(FileMsg(1, "fed_1.dat", "x")).ok());
-    loop_->RunFor(3 * kSecond);  // c1 acked, c2 still pending
-    EXPECT_EQ(c1_->files_received(), 1u);
-  }  // relay destroyed with the entry mid-retry: the spool keeps it
-
-  c2_->SetFailing(false);
-  auto relay = OpenRelay();
-  ASSERT_TRUE(relay.ok()) << relay.status();
-  EXPECT_EQ((*relay)->replayed(), 1u);
-  loop_->RunFor(kMinute);
-  EXPECT_EQ(c2_->files_received(), 1u);
-  // The durable waiting set excluded c1, so the replay did not resend
-  // to it — and even if it had, the sink's dedupe absorbs it.
-  EXPECT_EQ(c1_->files_received(), 1u);
-  EXPECT_EQ(c1_->duplicates(), 0u);
-  EXPECT_EQ((*relay)->Backlog(), 0u);
-}
-
-TEST(RelayTreeDepthTest, ComputesDepthAndCutsCycles) {
-  std::vector<RelaySpec> specs(3);
-  specs[0].name = "root";
-  specs[0].children = {"mid", "leaf_sub"};
-  specs[1].name = "mid";
-  specs[1].children = {"edge"};
-  specs[2].name = "edge";
-  specs[2].children = {"s1", "s2"};
-  EXPECT_EQ(RelayTreeDepth(specs, "edge"), 1);
-  EXPECT_EQ(RelayTreeDepth(specs, "mid"), 2);
-  EXPECT_EQ(RelayTreeDepth(specs, "root"), 3);
-  // A cycle is a misconfiguration; depth stays finite.
-  specs[2].children = {"root"};
-  EXPECT_EQ(RelayTreeDepth(specs, "root"), 3);
-}
-
 // ------------------------------------------------------- admin console
 
-TEST_F(FanoutServerTest, SubscriptionsCommandRendersGroupsAndRelays) {
+TEST_F(FanoutServerTest, SubscriptionsCommandRendersGroups) {
   members_["a3"]->SetFailing(true);
   ASSERT_TRUE(
       server_->Deposit("poller1", "CPU_POLL1_201009250400.txt", "cpu=1").ok());
   loop_->RunUntilIdle();
 
-  AdminFanout fanout;
-  fanout.groups = groups_.get();
-  RelaySpec spec;
-  spec.name = "edge1";
-  spec.children = {"a1", "a2"};
-  fanout.relay_specs = {spec};
-
-  std::string out =
-      ExecuteAdminCommand(server_.get(), "subscriptions", nullptr, fanout);
+  std::string out = ExecuteAdminCommand(server_.get(), "subscriptions",
+                                        nullptr, groups_.get());
   EXPECT_NE(out.find("individual subscribers: 1"), std::string::npos) << out;
   EXPECT_NE(out.find("analytics"), std::string::npos) << out;
   EXPECT_NE(out.find("3 member(s)"), std::string::npos) << out;
   EXPECT_NE(out.find("stragglers 1 (owed 1)"), std::string::npos) << out;
   EXPECT_NE(out.find("[STRAGGLER, owes 1]"), std::string::npos) << out;
-  EXPECT_NE(out.find("edge1"), std::string::npos) << out;
-  EXPECT_NE(out.find("depth 1"), std::string::npos) << out;
 
   std::string status =
-      ExecuteAdminCommand(server_.get(), "status", nullptr, fanout);
+      ExecuteAdminCommand(server_.get(), "status", nullptr, groups_.get());
   EXPECT_NE(
       status.find("groups: 1 group(s) covering 3 member(s), 1 straggler(s)"),
       std::string::npos)
@@ -773,12 +599,14 @@ TEST_F(FanoutServerTest, SubscriptionsCommandRendersGroupsAndRelays) {
   EXPECT_NE(help.find("subscriptions"), std::string::npos);
 }
 
-// ------------------------------------- multi-hop cascade (satellite d)
+// -------------------------------------------------- multi-hop cascade
 
-// A -> relay (durable middle hop) -> B (federated ingest) -> leaf sink.
-// The relay's child is down when the file arrives; the origin still gets
-// its ack, the relay crashes and replays, and the file lands exactly
-// once after the child comes back.
+// A -> M (a pass-through Bistro server, the paper's Fig. 1 relay) -> B
+// (federated ingest) -> leaf sink. M's children are its subscribers: a
+// local sink c1 that is up, and B, which is dark when the file arrives.
+// The origin still gets its receipt, M crashes and reopens from its
+// receipts, and once B comes up the file lands exactly once everywhere:
+// the replay resends only to the child M still owes.
 TEST(CascadeTest, RelayMiddleHopSurvivesDownstreamOutageAndCrash) {
   SimClock clock(FromCivil(CivilTime{2010, 9, 25}));
   EventLoop loop(&clock);
@@ -788,77 +616,86 @@ TEST(CascadeTest, RelayMiddleHopSurvivesDownstreamOutageAndCrash) {
   Logger logger(&clock);
   logger.SetMinLevel(LogLevel::kError);
 
+  auto open = [&](const std::string& root, const char* text) {
+    auto config = ParseConfig(text);
+    EXPECT_TRUE(config.ok()) << config.status();
+    BistroServer::Options opts;
+    opts.landing_root = root + "/landing";
+    opts.staging_root = root + "/staging";
+    opts.db_dir = root + "/db";
+    auto server = BistroServer::Create(opts, *config, &fs, &transport, &loop,
+                                       &invoker, &logger);
+    EXPECT_TRUE(server.ok()) << server.status();
+    return server.ok() ? std::move(*server) : nullptr;
+  };
   constexpr char kUpstream[] = R"(
 feed FED { pattern "fed_%i_%Y%m%d%H%M.dat"; }
-subscriber hop { destination "/unused"; feeds FED; method push; host "relayB"; }
+subscriber hop { feeds FED; method push; host "relayB"; }
+)";
+  constexpr char kRelay[] = R"(
+feed FED { pattern "fed_%i_%Y%m%d%H%M.dat"; }
+subscriber c1 { feeds FED; method push; }
+subscriber bsrv { feeds FED; method push; }
 )";
   constexpr char kDownstream[] = R"(
 feed FED { pattern "fed_%i_%Y%m%d%H%M.dat"; }
-subscriber leaf { destination "/unused"; feeds FED; method push; }
+subscriber leaf { feeds FED; method push; }
 )";
 
-  auto conf_a = ParseConfig(kUpstream);
-  ASSERT_TRUE(conf_a.ok()) << conf_a.status();
-  BistroServer::Options opts_a;
-  opts_a.landing_root = "/a/landing";
-  opts_a.staging_root = "/a/staging";
-  opts_a.db_dir = "/a/db";
-  auto server_a = BistroServer::Create(opts_a, *conf_a, &fs, &transport,
-                                       &loop, &invoker, &logger);
-  ASSERT_TRUE(server_a.ok()) << server_a.status();
-
-  auto conf_b = ParseConfig(kDownstream);
-  ASSERT_TRUE(conf_b.ok()) << conf_b.status();
-  BistroServer::Options opts_b;
-  opts_b.landing_root = "/b/landing";
-  opts_b.staging_root = "/b/staging";
-  opts_b.db_dir = "/b/db";
-  auto server_b = BistroServer::Create(opts_b, *conf_b, &fs, &transport,
-                                       &loop, &invoker, &logger);
-  ASSERT_TRUE(server_b.ok()) << server_b.status();
-  FederationInbound inbound_b(server_b->get(), &logger);
+  std::unique_ptr<BistroServer> server_a = open("/a", kUpstream);
+  std::unique_ptr<BistroServer> server_m = open("/m", kRelay);
+  std::unique_ptr<BistroServer> server_b = open("/b", kDownstream);
+  ASSERT_TRUE(server_a && server_m && server_b);
+  auto inbound_m = std::make_unique<FederationInbound>(server_m.get(), &logger);
+  transport.Register("relayB", inbound_m.get());
+  FederationInbound inbound_b(server_b.get(), &logger);
+  FileSinkEndpoint c1(&fs, "/c1");
   FileSinkEndpoint leaf(&fs, "/leaf");
+  transport.Register("c1", &c1);
   transport.Register("leaf", &leaf);
-
-  RelayNode::Options relay_options;
-  relay_options.spool_dir = "/spool/relayB";
-  relay_options.retry_backoff = 2 * kSecond;
-  auto relay = RelayNode::Open("relayB", {"bsrv"}, &fs, &transport, &loop,
-                               &logger, relay_options);
-  ASSERT_TRUE(relay.ok()) << relay.status();
-  transport.Register("relayB", relay->get());
   // NOTE: "bsrv" (B's federation inbound) is NOT registered yet — the
   // downstream hop is dark when the file arrives.
 
   ASSERT_TRUE(
-      (*server_a)->Deposit("src", "fed_1_201009250400.dat", "payload").ok());
+      server_a->Deposit("src", "fed_1_201009250400.dat", "payload").ok());
   loop.RunFor(10 * kSecond);
-  // A considers the file delivered (the relay acked after spooling)...
-  EXPECT_TRUE((*server_a)->receipts()->Delivered("hop", 1));
-  // ...but nothing reached B yet; the relay still owes its child.
-  EXPECT_EQ((*server_b)->receipts()->ArrivalCount(), 0u);
-  EXPECT_EQ((*relay)->Backlog(), 1u);
+  // A considers the file delivered (M acked after its arrival receipt),
+  // and M's local child has it...
+  EXPECT_TRUE(server_a->receipts()->Delivered("hop", 1));
+  EXPECT_EQ(c1.files_received(), 1u);
+  // ...but nothing reached B yet; M still owes that child.
+  EXPECT_EQ(server_b->receipts()->ArrivalCount(), 0u);
+  EXPECT_FALSE(server_m->receipts()->Delivered("bsrv", 1));
 
-  // The relay process crashes mid-outage and restarts from its spool.
-  relay->reset();
-  relay = RelayNode::Open("relayB", {"bsrv"}, &fs, &transport, &loop,
-                          &logger, relay_options);
-  ASSERT_TRUE(relay.ok()) << relay.status();
-  transport.Register("relayB", relay->get());
-  EXPECT_EQ((*relay)->replayed(), 1u);
+  // M crashes mid-outage and reopens from the same filesystem.
+  transport.Unregister("relayB");
+  inbound_m.reset();
+  server_m.reset();
+  server_m = open("/m", kRelay);
+  ASSERT_NE(server_m, nullptr);
+  inbound_m = std::make_unique<FederationInbound>(server_m.get(), &logger);
+  transport.Register("relayB", inbound_m.get());
+  EXPECT_EQ(server_m->receipts()->ArrivalCount(), 1u);
 
-  // Downstream failover completes: B comes up and the retry delivers.
+  // B comes up and M's delivery retry reaches it.
   transport.Register("bsrv", &inbound_b);
-  loop.RunFor(kMinute);
+  loop.RunFor(5 * kMinute);
   loop.RunUntilIdle();
-  EXPECT_EQ((*relay)->Backlog(), 0u);
-  EXPECT_EQ((*server_b)->receipts()->ArrivalCount(), 1u);
-  EXPECT_EQ(leaf.files_received(), 1u);
+  EXPECT_TRUE(server_a->receipts()->Delivered("hop", 1));
+  EXPECT_TRUE(server_m->receipts()->Delivered("bsrv", 1));
+  EXPECT_EQ(server_b->receipts()->ArrivalCount(), 1u);
   EXPECT_EQ(inbound_b.files_ingested(), 1u);
   EXPECT_EQ(inbound_b.duplicates_absorbed(), 0u);
-  auto got = fs.ReadFile("/leaf/FED/fed_1_201009250400.dat");
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(*got, "payload");
+  EXPECT_EQ(leaf.files_received(), 1u);
+  // The durable receipts excluded c1 from the replay.
+  EXPECT_EQ(c1.files_received(), 1u);
+  EXPECT_EQ(c1.duplicates(), 0u);
+  for (const char* at : {"/leaf/FED/fed_1_201009250400.dat",
+                         "/c1/FED/fed_1_201009250400.dat"}) {
+    auto got = fs.ReadFile(at);
+    ASSERT_TRUE(got.ok()) << at << ": " << got.status();
+    EXPECT_EQ(*got, "payload") << at;
+  }
 }
 
 }  // namespace

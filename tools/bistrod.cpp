@@ -40,7 +40,6 @@
 #include "core/admin.h"
 #include "core/server.h"
 #include "fanout/group.h"
-#include "fanout/relay.h"
 #include "federation/federation.h"
 #include "federation/health.h"
 #include "net/socket_transport.h"
@@ -228,42 +227,12 @@ int main(int argc, char** argv) {
                  server.status().ToString().c_str());
     return 1;
   }
-  // Dissemination relays: each gets its own durable spool under the
-  // root and answers on the wire under its config name, so subscribers
-  // with `host "<relay>"` and downstream peers fan out through it.
-  AdminFanout fanout_view;
-  fanout_view.relay_specs = config->relays;
-  std::vector<std::unique_ptr<fanout::RelayNode>> relays;
-  for (const RelaySpec& spec : config->relays) {
-    fanout::RelayNode::Options relay_options;
-    relay_options.spool_dir = spec.spool.empty()
-                                  ? path::Join(args.root, "relay/" + spec.name)
-                                  : spec.spool;
-    if (spec.retry_backoff) relay_options.retry_backoff = *spec.retry_backoff;
-    if (spec.max_attempts) relay_options.max_attempts = *spec.max_attempts;
-    relay_options.kv.sync_wal = args.durable;
-    auto relay = fanout::RelayNode::Open(spec.name, spec.children, &fs,
-                                         &transport, &loop, &logger,
-                                         relay_options);
-    if (!relay.ok()) {
-      std::fprintf(stderr, "relay error: %s\n",
-                   relay.status().ToString().c_str());
-      return 1;
-    }
-    (*relay)->AttachMetrics((*server)->metrics());
-    transport.Register(spec.name, relay->get());
-    std::fprintf(stderr, "relay %s -> %zu child(ren), spool %s\n",
-                 spec.name.c_str(), spec.children.size(),
-                 relay_options.spool_dir.c_str());
-    fanout_view.relay_nodes.push_back(relay->get());
-    relays.push_back(std::move(*relay));
-  }
-
   // Subscriber groups: members without a subscriber block of their own
   // land under root/subscribers/<member>, like destination-less
   // subscribers.
   std::vector<std::unique_ptr<FileSinkEndpoint>> member_sinks;
   fanout::GroupManager groups(server->get(), &fs, &loop, &logger);
+  fanout::GroupManager* group_view = nullptr;  // set once groups are wired
   if (!config->groups.empty()) {
     Status wired = groups.Wire(
         config->groups,
@@ -284,7 +253,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     groups.AttachMetrics((*server)->metrics());
-    fanout_view.groups = &groups;
+    group_view = &groups;
     for (const GroupSpec& g : config->groups) {
       std::fprintf(stderr, "group %s -> %zu member(s)\n", g.name.c_str(),
                    g.members.size());
@@ -311,10 +280,10 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "bistrod running: root=%s feeds=%zu subscribers=%zu "
-               "groups=%zu relays=%zu (deposit files under %s/<source>/)\n",
+               "groups=%zu (deposit files under %s/<source>/)\n",
                args.root.c_str(), config->feeds.size(),
                config->subscribers.size(), config->groups.size(),
-               config->relays.size(), options.landing_root.c_str());
+               options.landing_root.c_str());
   if (PlanRuntime* plans = (*server)->plans()) {
     std::fprintf(stderr, "ingestion plans: %zu block(s) governing %zu feed(s)\n",
                  config->plans.size(), plans->stats().governed_feeds);
@@ -334,9 +303,7 @@ int main(int argc, char** argv) {
       next_scan = now + args.scan_interval;
     }
     if (now >= next_status) {
-      std::fputs(RenderStatusReport(server->get(), fanout_view.groups)
-                     .c_str(),
-                 stderr);
+      std::fputs(RenderStatusReport(server->get(), group_view).c_str(), stderr);
       next_status = now + args.status_interval;
     }
     // Operator console: another process drops commands (one per line)
@@ -349,7 +316,7 @@ int main(int argc, char** argv) {
         for (const std::string& line : Split(*commands, '\n')) {
           if (Trim(line).empty()) continue;
           std::fputs(ExecuteAdminCommand(server->get(), line, &federation,
-                                         fanout_view)
+                                         group_view)
                          .c_str(),
                      stderr);
         }
@@ -364,9 +331,7 @@ int main(int argc, char** argv) {
   (*server)->delivery()->FlushBatches();
   loop.RunUntil(clock.Now());
   transport.Shutdown();
-  std::fputs(RenderStatusReport(server->get(), fanout_view.groups)
-                     .c_str(),
-                 stderr);
+  std::fputs(RenderStatusReport(server->get(), group_view).c_str(), stderr);
   if (!args.metrics_json_path.empty()) {
     Status s = fs.WriteFile(args.metrics_json_path,
                             ExportJson((*server)->metrics()));
