@@ -19,6 +19,13 @@ using namespace bistro;
 
 namespace {
 
+// Records one arrival as a group of one; the database assigns ids 1, 2,
+// ... in commit order.
+FileId Arrive(ReceiptDatabase* db, ArrivalReceipt r) {
+  std::vector<ArrivalReceipt> group = {std::move(r)};
+  return db->RecordArrivalGroup(&group).ok() ? group[0].file_id : 0;
+}
+
 void ScanCostSweep() {
   std::printf("--- E2a: per-cycle cost vs stored history (10 new files/cycle) ---\n");
   std::printf("%10s %24s %26s\n", "history",
@@ -46,22 +53,20 @@ void ScanCostSweep() {
     auto db = ReceiptDatabase::Open(&fs, "/db");
     for (size_t i = 0; i < history; ++i) {
       ArrivalReceipt r;
-      r.file_id = i + 1;
       r.name = StrFormat("f%07zu.csv", i);
       r.staged_path = "/staging/" + r.name;
       r.arrival_time = static_cast<TimePoint>(i);
       r.feeds = {"F"};
-      (void)(*db)->RecordArrival(r);
-      (void)(*db)->RecordDelivery("sub", r.file_id, r.arrival_time);
+      FileId id = Arrive(db->get(), r);
+      (void)(*db)->RecordDeliveryGroup({{"sub", id, r.arrival_time}});
     }
     for (size_t i = 0; i < 10; ++i) {
       ArrivalReceipt r;
-      r.file_id = history + i + 1;
       r.name = StrFormat("new%03zu.csv", i);
       r.staged_path = "/staging/" + r.name;
       r.arrival_time = static_cast<TimePoint>(history + i);
       r.feeds = {"F"};
-      (void)(*db)->RecordArrival(r);
+      (void)Arrive(db->get(), r);
     }
     // In the real engine new arrivals are pushed directly; the queue
     // recompute below is the recovery path. Either way the expensive part
@@ -95,11 +100,10 @@ void WallClockSweep() {
     auto db = ReceiptDatabase::Open(&fs, "/db");
     for (size_t i = 0; i < history; ++i) {
       ArrivalReceipt r;
-      r.file_id = i + 1;
       r.name = StrFormat("f%07zu.csv", i);
       r.feeds = {"F"};
-      (void)(*db)->RecordArrival(r);
-      (void)(*db)->RecordDelivery("sub", r.file_id, 0);
+      FileId id = Arrive(db->get(), r);
+      (void)(*db)->RecordDeliveryGroup({{"sub", id, 0}});
     }
     t0 = rc.Now();
     auto queue = (*db)->ComputeDeliveryQueue("sub", {"F"});

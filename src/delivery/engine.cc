@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "common/backoff.h"
 #include "common/hash.h"
 #include "common/strings.h"
 
@@ -27,8 +26,8 @@ DeliveryEngine::DeliveryEngine(EventLoop* loop, FeedRegistry* registry,
       invoker_(invoker),
       logger_(logger),
       options_(options),
-      backoff_rng_(options.backoff_seed),
       tracer_(tracer),
+      backoff_rng_(options.backoff_seed),
       payload_cache_(staging_fs, options.cache_bytes) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
@@ -367,26 +366,12 @@ void DeliveryEngine::OnJobDone(TransferJob job, TimePoint started,
 
 void DeliveryEngine::RecordDeliveryReceipt(const TransferJob& job,
                                            TimePoint now) {
-  if (options_.receipt_group <= 1) {
-    // Legacy mode: one durable receipt write per ack.
-    Status rec = receipts_->RecordDelivery(job.subscriber, job.file_id, now);
-    if (!rec.ok()) {
-      logger_->Error("delivery",
-                     "failed to record delivery receipt: " + rec.ToString());
-      // The file reached the subscriber but the receipt did not commit
-      // (e.g. a transient WAL write error). Without the receipt the file
-      // stays in the recomputed delivery queue and would be redelivered
-      // after every restart, so keep retrying the receipt write; the
-      // endpoint's dedupe absorbs any redelivery that races with it.
-      RetryDeliveryReceipt(job.subscriber, job.file_id, now);
-    }
-    return;
-  }
   // Group commit: buffer until the group fills, the engine goes
   // ack-quiescent (this ack was the last in flight, so no later ack will
-  // piggyback the fsync), or the flush timer fires. A crash loses at most
-  // the buffered tail — those files get re-delivered after recovery and
-  // the subscriber's FileId dedupe absorbs the repeats.
+  // piggyback the fsync), or the flush timer fires. With receipt_group 1
+  // the group fills at once: a group of one, committed at the ack. A
+  // crash loses at most the buffered tail — those files get re-delivered
+  // after recovery and the subscriber's FileId dedupe absorbs the repeats.
   receipt_buffer_.push_back({job.subscriber, job.file_id, now});
   receipt_buffer_gauge_->Set(static_cast<int64_t>(receipt_buffer_.size()));
   if (receipt_buffer_.size() >= options_.receipt_group ||
@@ -407,28 +392,40 @@ void DeliveryEngine::FlushDeliveryReceipts() {
       std::move(receipt_buffer_);
   receipt_buffer_.clear();
   receipt_buffer_gauge_->Set(0);
+  CommitDeliveryReceipts(records, 0);
+}
+
+void DeliveryEngine::CommitDeliveryReceipts(
+    const std::vector<ReceiptDatabase::DeliveryRecord>& records,
+    Duration last_delay) {
   Status s = receipts_->RecordDeliveryGroup(records);
   if (s.ok()) {
     receipt_group_flushes_->Increment();
     return;
   }
-  logger_->Error("delivery",
-                 "failed to group-commit delivery receipts: " + s.ToString());
-  // Same rationale as the legacy path: without receipts these files would
-  // be redelivered after every restart, so retry each one (individually —
-  // a persistent fault in one record must not wedge the whole group).
+  if (last_delay == 0) {
+    logger_->Error("delivery",
+                   "failed to commit delivery receipts: " + s.ToString());
+  }
+  // The files reached their subscribers but the receipts did not commit
+  // (e.g. a transient WAL write error). Without a receipt a file stays in
+  // the recomputed delivery queue and would be redelivered after every
+  // restart, so keep retrying on the delivery retry schedule; the
+  // endpoint's dedupe absorbs any redelivery that races with it. Each
+  // receipt retries alone: a persistent fault in one record must not
+  // wedge the whole group.
   for (const auto& r : records) {
-    RetryDeliveryReceipt(r.subscriber, r.file_id, r.when);
+    const Duration delay =
+        NextBackoff(RetryPolicy(), last_delay, &backoff_rng_);
+    loop_->PostAfter(delay, Guard([this, r, delay] {
+                       CommitDeliveryReceipts({r}, delay);
+                     }));
   }
 }
 
-void DeliveryEngine::RetryDeliveryReceipt(const SubscriberName& sub,
-                                          FileId file_id, TimePoint when) {
-  loop_->PostAfter(options_.retry_backoff,
-                   Guard([this, sub, file_id, when] {
-                     Status rec = receipts_->RecordDelivery(sub, file_id, when);
-                     if (!rec.ok()) RetryDeliveryReceipt(sub, file_id, when);
-                   }));
+BackoffPolicy DeliveryEngine::RetryPolicy() const {
+  return {options_.retry_backoff, options_.retry_backoff_max,
+          options_.retry_backoff_multiplier, options_.retry_jitter};
 }
 
 void DeliveryEngine::HandleFailure(TransferJob job) {
@@ -463,10 +460,8 @@ void DeliveryEngine::HandleFailure(TransferJob job) {
     return;
   }
   retries_->Increment();
-  const Duration backoff = NextBackoff(
-      {options_.retry_backoff, options_.retry_backoff_max,
-       options_.retry_backoff_multiplier, options_.retry_jitter},
-      job.last_backoff, &backoff_rng_);
+  const Duration backoff =
+      NextBackoff(RetryPolicy(), job.last_backoff, &backoff_rng_);
   job.last_backoff = backoff;
   loop_->PostAfter(backoff, Guard([this, job = std::move(job)]() mutable {
                      scheduler_->Submit(job);

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/backoff.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "config/registry.h"
@@ -109,7 +110,7 @@ class DeliveryEngine {
     /// Delivery receipts per group commit: completed deliveries buffer
     /// until the group fills, the engine goes ack-quiescent, or
     /// receipt_flush_interval elapses — one WAL append + one fsync per
-    /// group. 1 = legacy immediate per-ack receipt writes.
+    /// group. 1 = a group of one, committed at the ack.
     size_t receipt_group = 1;
     /// Time bound on how long a buffered delivery receipt may wait for
     /// its group to fill.
@@ -206,14 +207,18 @@ class DeliveryEngine {
   SendCallback DoneCallback(TransferJob job, TimePoint started);
   void StartJob(TransferJob job);
   void OnJobDone(TransferJob job, TimePoint started, const Status& status);
-  /// Buffers (or, in legacy mode, immediately writes) the delivery
-  /// receipt for a successful send.
+  /// Buffers the delivery receipt for a successful send, flushing the
+  /// buffer when the group is full or the engine is ack-quiescent.
   void RecordDeliveryReceipt(const TransferJob& job, TimePoint now);
-  /// Keeps retrying a delivery-receipt write that failed after a
-  /// successful send (a lost receipt would cause redelivery after every
-  /// restart).
-  void RetryDeliveryReceipt(const SubscriberName& sub, FileId file_id,
-                            TimePoint when);
+  /// Group-commits `records`. On failure each receipt is retried alone on
+  /// the delivery retry schedule, growing from `last_delay` (0 = first
+  /// attempt), until it commits (a lost receipt would cause redelivery
+  /// after every restart).
+  void CommitDeliveryReceipts(
+      const std::vector<ReceiptDatabase::DeliveryRecord>& records,
+      Duration last_delay);
+  /// The one retry envelope, shared by job retries and receipt retries.
+  BackoffPolicy RetryPolicy() const;
   void HandleFailure(TransferJob job);
   void ProbeOffline(const SubscriberName& subscriber);
   void FeedBatcher(const SubscriberSpec& sub, const FeedName& feed,
@@ -292,7 +297,7 @@ class DeliveryEngine {
   /// until expiry, so one read + one CRC serves the whole fan-out (and,
   /// within the budget, later backfills of the same file).
   StagedPayloadCache payload_cache_;
-  /// Delivery receipts awaiting their group commit (receipt_group > 1).
+  /// Delivery receipts awaiting their group commit.
   std::vector<ReceiptDatabase::DeliveryRecord> receipt_buffer_;
   bool receipt_flush_timer_armed_ = false;
 };

@@ -185,17 +185,25 @@ void GroupManager::ScheduleCatchUp() {
 
 size_t GroupManager::CatchUpStragglers() {
   size_t delivered = 0;
+  // Per-member delta receipts: the stragglers' catch-up history is
+  // auditable without per-member rows on the hot path. The pass's
+  // receipts commit as one group.
+  std::vector<ReceiptDatabase::DeliveryRecord> deltas;
   for (auto& [group, relay] : relays_) {
     const std::string& name = group;
     delivered += relay->CatchUp(
         [this](FileId id) { return LoadMessage(id); },
-        [this, &name](const std::string& member, FileId id, bool ok) {
-          if (!ok) return;
-          // Per-member delta receipt: the straggler's catch-up history
-          // is auditable without per-member rows on the hot path.
-          server_->receipts()->RecordDelivery(name + "~" + member, id,
-                                              loop_->Now());
+        [this, &name, &deltas](const std::string& member, FileId id,
+                               bool ok) {
+          if (ok) deltas.push_back({name + "~" + member, id, loop_->Now()});
         });
+  }
+  Status s = server_->receipts()->RecordDeliveryGroup(deltas);
+  if (!s.ok()) {
+    logger_->Error("fanout", "failed to commit " +
+                                 std::to_string(deltas.size()) +
+                                 " member catch-up receipt(s): " +
+                                 s.ToString());
   }
   if (m_catchup_deliveries_ != nullptr && delivered > 0) {
     m_catchup_deliveries_->Increment(delivered);

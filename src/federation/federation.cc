@@ -62,12 +62,6 @@ Status FederationInbound::HandleMessage(const Message& msg) {
   return handled;
 }
 
-bool FeedInShard(const FeedName& feed, int index, int count) {
-  if (count <= 0) return true;
-  return Fnv1a64(feed) % static_cast<uint64_t>(count) ==
-         static_cast<uint64_t>(index);
-}
-
 namespace {
 /// With `replicas n`, peer `index` carries its own shard plus the n-1
 /// preceding shards (wrapping): the feed hashed to shard h lands on peers

@@ -64,10 +64,6 @@ class FederationInbound : public Endpoint {
   Counter* m_rejected_ = nullptr;
 };
 
-/// True when `feed` belongs to shard `index` of `count` under the
-/// federation's stable hash partitioning (FNV-1a of the feed name).
-bool FeedInShard(const FeedName& feed, int index, int count);
-
 /// Feeds of `config` routed to `peer`: the explicit list when present;
 /// the peer's hash shard (widened to `replicas` consecutive shards) when
 /// sharding is set; every feed otherwise — except that a peer declared

@@ -80,13 +80,6 @@ PeerHealth PeerHealthTracker::Health(const std::string& peer) const {
   return it == tracked_.end() ? PeerHealth::kHealthy : it->second.health;
 }
 
-std::vector<std::string> PeerHealthTracker::TrackedPeers() const {
-  std::vector<std::string> out;
-  out.reserve(tracked_.size());
-  for (const auto& [name, _] : tracked_) out.push_back(name);
-  return out;
-}
-
 Status PeerHealthTracker::GateSend(const std::string& peer,
                                    const Message& msg) {
   auto it = tracked_.find(peer);

@@ -87,7 +87,6 @@ class PeerHealthTracker : public SocketTransport::PeerObserver {
 
   /// Current verdict; kHealthy for untracked peers.
   PeerHealth Health(const std::string& peer) const;
-  std::vector<std::string> TrackedPeers() const;
 
   /// Sends refused by the open circuit (peer down, non-heartbeat).
   uint64_t fast_fails() const { return fast_fails_; }

@@ -91,13 +91,7 @@ Status KvStore::Recover() {
       [this](std::string_view record) {
         std::vector<Write> batch;
         if (!DecodeBatch(record, &batch).ok()) return;  // skip bad record
-        for (auto& w : batch) {
-          if (w.value.has_value()) {
-            table_[w.key] = *w.value;
-          } else {
-            table_.erase(w.key);
-          }
-        }
+        ApplyToTableLocked(batch);
       },
       &torn_tail_);
   if (!replay.ok()) return replay;
@@ -137,18 +131,6 @@ Status KvStore::DecodeBatch(std::string_view record, std::vector<Write>* batch) 
       batch->push_back(Write::Del(std::string(k)));
     }
   }
-  return Status::OK();
-}
-
-Status KvStore::Apply(const std::vector<Write>& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ApplyLocked(batch);
-}
-
-Status KvStore::ApplyLocked(const std::vector<Write>& batch) {
-  BISTRO_RETURN_IF_ERROR(wal_.Append(EncodeBatch(batch)));
-  ApplyToTableLocked(batch);
-  MaybeAutoCheckpointLocked();
   return Status::OK();
 }
 
@@ -200,11 +182,11 @@ Status KvStore::CheckpointLocked() {
 }
 
 Status KvStore::Put(std::string key, std::string value) {
-  return Apply({Write::Put(std::move(key), std::move(value))});
+  return ApplyMulti({{Write::Put(std::move(key), std::move(value))}});
 }
 
 Status KvStore::Delete(std::string key) {
-  return Apply({Write::Del(std::move(key))});
+  return ApplyMulti({{Write::Del(std::move(key))}});
 }
 
 Result<std::string> KvStore::Get(const std::string& key) const {

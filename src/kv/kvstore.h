@@ -48,17 +48,16 @@ class KvStore {
     static Write Del(std::string k) { return Write{std::move(k), std::nullopt}; }
   };
 
-  /// Applies a batch atomically and durably.
-  Status Apply(const std::vector<Write>& batch);
-
-  /// Group commit: applies several batches in one WAL append + one fsync
-  /// (when sync_wal is set), amortizing the durability cost over the
-  /// group. Each batch keeps its individual atomicity (one WAL record per
+  /// The store's one commit routine: applies a group of batches in one
+  /// WAL append + one fsync (when sync_wal is set), amortizing the
+  /// durability cost over the group; a single batch is a group of one.
+  /// Each batch keeps its individual atomicity (one WAL record per
   /// batch); on failure the whole group is rolled back and none of the
   /// batches is applied. A crash can still make a *prefix* of the group
   /// durable — callers must order batches so any prefix is consistent.
   Status ApplyMulti(const std::vector<std::vector<Write>>& batches);
 
+  /// Single writes, each committed as a group of one by ApplyMulti.
   Status Put(std::string key, std::string value);
   Status Delete(std::string key);
 
@@ -88,7 +87,6 @@ class KvStore {
   KvStore(FileSystem* fs, std::string dir, Options options);
 
   Status Recover();
-  Status ApplyLocked(const std::vector<Write>& batch);
   void ApplyToTableLocked(const std::vector<Write>& batch);
   void MaybeAutoCheckpointLocked();
   Status CheckpointLocked();

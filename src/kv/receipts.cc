@@ -109,19 +109,6 @@ size_t ReceiptDatabase::ShardOfSubscriber(
   return kvs_.size() == 1 ? 0 : Fnv1a(subscriber) % kvs_.size();
 }
 
-Result<FileId> ReceiptDatabase::NextFileId() {
-  std::lock_guard<std::mutex> lock(seq_mu_);
-  FileId next = 1;
-  auto cur = kvs_[0]->Get("seq");
-  if (cur.ok()) {
-    auto parsed = ParseInt(*cur);
-    if (!parsed) return Status::Corruption("bad seq value");
-    next = static_cast<FileId>(*parsed) + 1;
-  }
-  BISTRO_RETURN_IF_ERROR(kvs_[0]->Put("seq", std::to_string(next)));
-  return next;
-}
-
 void ReceiptDatabase::AttachMetrics(MetricsRegistry* registry) {
   arrivals_recorded_ = registry->GetCounter(
       "bistro_receipts_arrivals_total", "Arrival receipts recorded");
@@ -164,10 +151,13 @@ std::vector<KvStore::Write> ArrivalBatch(const ArrivalReceipt& receipt) {
 }
 }  // namespace
 
-Status ReceiptDatabase::RecordArrival(const ArrivalReceipt& receipt) {
-  BISTRO_RETURN_IF_ERROR(
-      kvs_[ShardOfId(receipt.file_id)]->Apply(ArrivalBatch(receipt)));
-  if (arrivals_recorded_ != nullptr) arrivals_recorded_->Increment();
+Status ReceiptDatabase::CommitByShard(
+    const std::vector<std::vector<std::vector<KvStore::Write>>>& by_shard) {
+  for (size_t i = 0; i < kvs_.size(); ++i) {
+    if (by_shard[i].empty()) continue;
+    BISTRO_RETURN_IF_ERROR(kvs_[i]->ApplyMulti(by_shard[i]));
+    if (shard_commits_ != nullptr) shard_commits_->Increment();
+  }
   return Status::OK();
 }
 
@@ -197,11 +187,7 @@ Status ReceiptDatabase::RecordArrivalGroup(
     r.file_id = ++seq;
     by_shard[ShardOfId(r.file_id)].push_back(ArrivalBatch(r));
   }
-  for (size_t i = 0; i < kvs_.size(); ++i) {
-    if (by_shard[i].empty()) continue;
-    BISTRO_RETURN_IF_ERROR(kvs_[i]->ApplyMulti(by_shard[i]));
-    if (shard_commits_ != nullptr) shard_commits_->Increment();
-  }
+  BISTRO_RETURN_IF_ERROR(CommitByShard(by_shard));
   if (arrivals_recorded_ != nullptr) {
     arrivals_recorded_->Increment(receipts->size());
   }
@@ -229,14 +215,6 @@ Result<FileId> ReceiptDatabase::FindIdByName(const std::string& name) const {
   return *best;
 }
 
-Status ReceiptDatabase::RecordDelivery(const SubscriberName& subscriber,
-                                       FileId file_id, TimePoint when) {
-  BISTRO_RETURN_IF_ERROR(kvs_[ShardOfSubscriber(subscriber)]->Put(
-      "d/" + subscriber + "/" + FileIdKey(file_id), std::to_string(when)));
-  if (deliveries_recorded_ != nullptr) deliveries_recorded_->Increment();
-  return Status::OK();
-}
-
 Status ReceiptDatabase::RecordDeliveryGroup(
     const std::vector<DeliveryRecord>& records) {
   if (records.empty()) return Status::OK();
@@ -250,11 +228,7 @@ Status ReceiptDatabase::RecordDeliveryGroup(
         {KvStore::Write::Put("d/" + r.subscriber + "/" + FileIdKey(r.file_id),
                              std::to_string(r.when))});
   }
-  for (size_t i = 0; i < kvs_.size(); ++i) {
-    if (by_shard[i].empty()) continue;
-    BISTRO_RETURN_IF_ERROR(kvs_[i]->ApplyMulti(by_shard[i]));
-    if (shard_commits_ != nullptr) shard_commits_->Increment();
-  }
+  BISTRO_RETURN_IF_ERROR(CommitByShard(by_shard));
   if (deliveries_recorded_ != nullptr) {
     deliveries_recorded_->Increment(records.size());
   }
@@ -336,7 +310,7 @@ Result<std::vector<std::string>> ReceiptDatabase::ExpireBefore(TimePoint cutoff)
         batch.push_back(KvStore::Write::Del("n/" + receipt->name));
       }
     }
-    if (!batch.empty()) BISTRO_RETURN_IF_ERROR(kv->Apply(batch));
+    if (!batch.empty()) BISTRO_RETURN_IF_ERROR(kv->ApplyMulti({batch}));
   }
   if (files_expired_ != nullptr) {
     files_expired_->Increment(expunged_paths.size());

@@ -68,45 +68,39 @@ class ReceiptDatabase {
   /// underlying WALs' counters in `registry`. Optional.
   void AttachMetrics(MetricsRegistry* registry);
 
-  /// Assigns the next FileId (durable: survives restart without reuse).
-  Result<FileId> NextFileId();
-
-  /// Records an arrival receipt (and its per-feed index entries)
-  /// atomically. `receipt.file_id` must already be assigned.
-  Status RecordArrival(const ArrivalReceipt& receipt);
-
-  /// Group commit (the ingest pipeline's receipt stage): assigns each
-  /// receipt the next FileId and records the whole group with one WAL
-  /// append + fsync per *touched shard*, amortizing the durability cost
-  /// over the group. The sequence bump is shard 0's first record and
-  /// shard 0 commits first, so a torn group (a crash mid-commit
-  /// preserves a per-shard record prefix) can only burn ids — it can
-  /// never reassign an id a surviving receipt already uses. On success
-  /// every receipt's file_id is filled in, ascending in input order.
+  /// The one arrival commit (the ingest pipeline's receipt stage; a
+  /// single arrival is a group of one): assigns each receipt the next
+  /// FileId (durable: ids survive restart without reuse) and records it
+  /// with its per-feed and name index rows as one atomic batch. The
+  /// group rides one WAL append + fsync per *touched shard*, amortizing
+  /// the durability cost over the group. The sequence bump is shard 0's
+  /// first record and shard 0 commits first, so a torn group (a crash
+  /// mid-commit preserves a per-shard record prefix) can only burn ids —
+  /// it can never reassign an id a surviving receipt already uses. On
+  /// success every receipt's file_id is filled in, ascending in input
+  /// order.
   Status RecordArrivalGroup(std::vector<ArrivalReceipt>* receipts);
 
   /// The latest arrival recorded under `name`, via the n/<name> index.
   /// NotFound when the name was never recorded (or predates the index).
   Result<FileId> FindIdByName(const std::string& name) const;
 
-  /// Records that `file_id` was delivered to `subscriber` at `when`.
-  Status RecordDelivery(const SubscriberName& subscriber, FileId file_id,
-                        TimePoint when);
-
-  /// One delivery receipt of a group commit.
+  /// One delivery receipt: `file_id` was delivered to `subscriber` at
+  /// `when`.
   struct DeliveryRecord {
     SubscriberName subscriber;
     FileId file_id = 0;
     TimePoint when = 0;
   };
 
-  /// Group commit for delivery receipts (mirror of RecordArrivalGroup):
-  /// the group partitions by subscriber shard and rides one WAL append +
-  /// one fsync per touched shard. Unlike arrivals there is no sequence to
-  /// bump — a torn group simply loses a suffix of some shard's receipts,
-  /// which at worst causes those files to be re-delivered after recovery;
-  /// subscriber-side FileId dedupe absorbs the repeats, so grouping never
-  /// weakens exactly-once.
+  /// The one delivery-receipt commit (mirror of RecordArrivalGroup; a
+  /// single receipt is a group of one): the group partitions by
+  /// subscriber shard and rides one WAL append + one fsync per touched
+  /// shard. Unlike arrivals there is no sequence to bump — a torn group
+  /// simply loses a suffix of some shard's receipts, which at worst
+  /// causes those files to be re-delivered after recovery; subscriber-side
+  /// FileId dedupe absorbs the repeats, so grouping never weakens
+  /// exactly-once.
   Status RecordDeliveryGroup(const std::vector<DeliveryRecord>& records);
 
   /// Whether the file has been delivered to the subscriber.
@@ -145,6 +139,10 @@ class ReceiptDatabase {
     return static_cast<size_t>(id) % kvs_.size();
   }
   size_t ShardOfSubscriber(const SubscriberName& subscriber) const;
+  /// Commits each shard's batches with one ApplyMulti, shard 0 first,
+  /// skipping untouched shards.
+  Status CommitByShard(
+      const std::vector<std::vector<std::vector<KvStore::Write>>>& by_shard);
 
   std::vector<std::unique_ptr<KvStore>> kvs_;
   std::mutex seq_mu_;

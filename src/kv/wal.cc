@@ -59,7 +59,8 @@ void FrameRecord(std::string* out, std::string_view record) {
 }
 }  // namespace
 
-Status WriteAheadLog::Append(std::string_view record) {
+Status WriteAheadLog::AppendBatch(const std::vector<std::string>& records) {
+  if (records.empty()) return Status::OK();
   if (!committed_len_.has_value()) {
     // First append through this instance: establish the committed length
     // by scanning for the longest intact record prefix (and dropping any
@@ -73,45 +74,6 @@ Status WriteAheadLog::Append(std::string_view record) {
     BISTRO_RETURN_IF_ERROR(TruncateTo(*committed_len_));
   }
   std::string framed;
-  framed.reserve(record.size() + 10);
-  FrameRecord(&framed, record);
-  if (appends_ != nullptr) {
-    appends_->Increment();
-    append_bytes_->Increment(framed.size());
-  }
-  Status s = fs_->AppendFile(path_, framed);
-  if (!s.ok()) {
-    // The append may have landed partially (torn write). Roll back to
-    // the committed prefix; the caller sees the failure and must not
-    // consider the record committed.
-    (void)TruncateTo(*committed_len_);
-    return s;
-  }
-  if (sync_on_append_) {
-    if (syncs_ != nullptr) syncs_->Increment();
-    Status synced = fs_->Sync(path_);
-    if (!synced.ok()) {
-      // The record is in the file but not durable, and the caller will
-      // treat it as failed. Remove it: if it stayed, a later successful
-      // sync would make it durable and recovery would replay a record
-      // the caller believes was never committed.
-      (void)TruncateTo(*committed_len_);
-      return synced;
-    }
-  }
-  *committed_len_ += framed.size();
-  return Status::OK();
-}
-
-Status WriteAheadLog::AppendBatch(const std::vector<std::string>& records) {
-  if (records.empty()) return Status::OK();
-  if (!committed_len_.has_value()) {
-    BISTRO_RETURN_IF_ERROR(RepairTail());
-  }
-  if (SizeBytes() != *committed_len_) {
-    BISTRO_RETURN_IF_ERROR(TruncateTo(*committed_len_));
-  }
-  std::string framed;
   size_t total = 0;
   for (const std::string& r : records) total += r.size() + 10;
   framed.reserve(total);
@@ -122,8 +84,8 @@ Status WriteAheadLog::AppendBatch(const std::vector<std::string>& records) {
   }
   Status s = fs_->AppendFile(path_, framed);
   if (!s.ok()) {
-    // The group may have landed partially; roll the whole group back so
-    // the caller's "the group failed" view matches recovery.
+    // The group may have landed partially (torn write); roll the whole
+    // group back so the caller's "the group failed" view matches recovery.
     (void)TruncateTo(*committed_len_);
     return s;
   }
@@ -131,6 +93,10 @@ Status WriteAheadLog::AppendBatch(const std::vector<std::string>& records) {
     if (syncs_ != nullptr) syncs_->Increment();
     Status synced = fs_->Sync(path_);
     if (!synced.ok()) {
+      // The group is in the file but not durable, and the caller will
+      // treat it as failed. Remove it: if it stayed, a later successful
+      // sync would make it durable and recovery would replay records the
+      // caller believes were never committed.
       (void)TruncateTo(*committed_len_);
       return synced;
     }

@@ -25,29 +25,27 @@ class WriteAheadLog {
   /// share one registry; their counts aggregate. Optional.
   void AttachMetrics(MetricsRegistry* registry);
 
-  /// When enabled, every Append is followed by FileSystem::Sync so a
-  /// committed record survives a crash (at the cost of one fsync per
-  /// append).
+  /// When enabled, every AppendBatch is followed by FileSystem::Sync so a
+  /// committed group survives a crash (at the cost of one fsync per
+  /// group).
   void set_sync_on_append(bool sync) { sync_on_append_ = sync; }
   bool sync_on_append() const { return sync_on_append_; }
 
-  /// Appends one record (buffered in the underlying FS append unless
-  /// sync_on_append is set). On any failure — torn append or failed
-  /// sync — the log is rolled back to the last committed length, so a
-  /// record the caller saw fail can never resurface at recovery (and a
-  /// torn tail cannot turn into mid-log corruption for later appends).
-  Status Append(std::string_view record);
-
-  /// Appends several records as one group: every record is framed into a
-  /// single buffer, written with one FileSystem::AppendFile and (when
-  /// sync_on_append is set) made durable with one Sync — the fsync cost
-  /// is amortized over the whole group. On failure the log rolls back to
-  /// the committed prefix, so either the group's bytes are entirely
-  /// rolled back or they are all in the file. A crash mid-append can
-  /// still tear the group; because records are framed individually,
-  /// recovery then keeps a clean *prefix* of the group's records (callers
-  /// order records so a surviving prefix is always consistent — e.g. the
-  /// receipt database commits its sequence bump first).
+  /// The log's one commit routine; a single record is a group of one.
+  /// Every record is framed into one buffer, written with one
+  /// FileSystem::AppendFile and (when sync_on_append is set) made durable
+  /// with one Sync, so the fsync cost is amortized over the group.
+  ///
+  /// Rollback: on any failure (torn append or failed sync) the log is
+  /// rolled back to the last committed length, so a group the caller saw
+  /// fail can never resurface at recovery, and a torn tail cannot turn
+  /// into mid-log corruption for later appends.
+  ///
+  /// Prefix on crash: a crash mid-append can still tear the group.
+  /// Records are framed individually, so recovery then keeps a clean
+  /// *prefix* of the group's records. Callers order records so that any
+  /// surviving prefix is consistent (the receipt database commits its
+  /// sequence bump first).
   Status AppendBatch(const std::vector<std::string>& records);
 
   /// Rewrites the log to its longest intact prefix of records, dropping a
@@ -78,7 +76,7 @@ class WriteAheadLog {
   std::string path_;
   bool sync_on_append_ = false;
   /// Length of the committed record prefix; lazily initialised from the
-  /// file size on first Append, maintained thereafter so failed appends
+  /// file size on first AppendBatch, maintained thereafter so failed appends
   /// can be rolled back precisely.
   std::optional<uint64_t> committed_len_;
   Counter* appends_ = nullptr;

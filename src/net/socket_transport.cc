@@ -144,14 +144,6 @@ void SocketTransport::AddPeer(const std::string& name,
   peer.address = address;
 }
 
-void SocketTransport::RemovePeer(const std::string& name) {
-  auto it = peers_.find(name);
-  if (it == peers_.end()) return;
-  DropPeerConn(name, &it->second, Status::Unavailable("peer removed"),
-               /*reconnect=*/false);
-  peers_.erase(it);
-}
-
 void SocketTransport::Register(const std::string& name, Endpoint* endpoint) {
   local_endpoints_[name] = endpoint;
 }

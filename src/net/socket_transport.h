@@ -136,9 +136,6 @@ class SocketTransport : public Transport {
   /// peers that restart on an ephemeral port are re-addressed this way.
   void AddPeer(const std::string& name, const std::string& address);
 
-  /// Forgets a peer: drops its connection, fails queued sends.
-  void RemovePeer(const std::string& name);
-
   /// Registers an in-process endpoint (loopback semantics).
   void Register(const std::string& name, Endpoint* endpoint);
   void Unregister(const std::string& name);

@@ -98,17 +98,6 @@ std::optional<FileTrace> FileTracer::Trace(FileId id) const {
   return it->second;
 }
 
-std::vector<FileTrace> FileTracer::Recent(size_t n) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FileTrace> out;
-  out.reserve(std::min(n, order_.size()));
-  for (auto it = order_.rbegin(); it != order_.rend() && out.size() < n; ++it) {
-    auto found = traces_.find(*it);
-    if (found != traces_.end()) out.push_back(found->second);
-  }
-  return out;
-}
-
 std::array<StageRollup, kNumPipelineStages> FileTracer::FeedRollup(
     const FeedName& feed) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -99,9 +99,6 @@ class FileTracer {
   /// The trace for `id`, if still retained.
   std::optional<FileTrace> Trace(FileId id) const;
 
-  /// Up to `n` most recent traces, newest first.
-  std::vector<FileTrace> Recent(size_t n) const;
-
   /// Rollups for one feed, indexed by PipelineStage (kLanding unused).
   std::array<StageRollup, kNumPipelineStages> FeedRollup(
       const FeedName& feed) const;

@@ -215,14 +215,14 @@ TEST(ArchiverTest, ReceiptStateShipAndRestore) {
     auto db = ReceiptDatabase::Open(&fs, "/db");
     ASSERT_TRUE(db.ok());
     for (FileId id = 1; id <= 20; ++id) {
-      ArrivalReceipt r;
-      r.file_id = id;
-      r.name = StrFormat("f%02llu.csv", (unsigned long long)id);
-      r.feeds = {"F"};
-      r.arrival_time = static_cast<TimePoint>(id);
-      ASSERT_TRUE((*db)->RecordArrival(r).ok());
+      std::vector<ArrivalReceipt> group(1);
+      group[0].name = StrFormat("f%02llu.csv", (unsigned long long)id);
+      group[0].feeds = {"F"};
+      group[0].arrival_time = static_cast<TimePoint>(id);
+      ASSERT_TRUE((*db)->RecordArrivalGroup(&group).ok());
+      ASSERT_EQ(group[0].file_id, id);
     }
-    ASSERT_TRUE((*db)->RecordDelivery("sub", 1, 100).ok());
+    ASSERT_TRUE((*db)->RecordDeliveryGroup({{"sub", 1, 100}}).ok());
   }
   ArchiverEndpoint archiver(&fs, "/archive");
   auto shipped = ShipReceiptState(&fs, "/db", &archiver, "snap1");

@@ -19,17 +19,18 @@
 namespace bistro {
 namespace {
 
-struct Rig {
+template <typename Fs>
+struct RigOn {
   SimClock clock{FromCivil(CivilTime{2010, 9, 25})};
   EventLoop loop{&clock};
-  InMemoryFileSystem fs;
+  Fs fs;
   SimTransport transport{&loop};
   RecordingInvoker invoker;
   Logger logger{&clock};
   std::unique_ptr<BistroServer> server;
 
-  explicit Rig(const char* config_text,
-               BistroServer::Options options = BistroServer::Options()) {
+  explicit RigOn(const char* config_text,
+                 BistroServer::Options options = BistroServer::Options()) {
     logger.SetMinLevel(LogLevel::kAlarm);
     auto config = ParseConfig(config_text);
     EXPECT_TRUE(config.ok()) << config.status();
@@ -39,6 +40,7 @@ struct Rig {
     server = std::move(*s);
   }
 };
+using Rig = RigOn<InMemoryFileSystem>;
 
 constexpr char kOneFeedOneSub[] = R"(
 feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt"; }
@@ -405,6 +407,79 @@ subscriber bad { feeds CPU; method push; }
   EXPECT_TRUE(rig.server->receipts()->Delivered("good", 1));
   EXPECT_EQ(rig.server->delivery()->buffered_receipts(), 0u);
   EXPECT_EQ(rig.server->delivery_stats().receipt_group_flushes, 1u);
+}
+
+TEST(EngineTest, ReceiptGroupOfOneCostsOneAppendAndOneSyncPerAck) {
+  // receipt_group 1: each ack is a group of one, committed at the ack, so
+  // the delivery phase adds exactly one WAL record and one fsync per file.
+  constexpr uint64_t kFiles = 5;
+  BistroServer::Options opts;
+  opts.kv.sync_wal = true;
+  opts.delivery.receipt_group = 1;
+  Rig rig(kOneFeedOneSub, opts);
+  InMemoryFileSystem sub_fs;
+  FileSinkEndpoint sink(&sub_fs, "/r");
+  rig.transport.Register("s", &sink);
+  rig.server->delivery()->SetOffline("s", true);
+  for (uint64_t i = 1; i <= kFiles; ++i) {
+    ASSERT_TRUE(rig.server
+                    ->Deposit("p",
+                              StrFormat("CPU_POLL%llu_201009250400.txt",
+                                        (unsigned long long)i),
+                              "x")
+                    .ok());
+  }
+  rig.loop.RunUntil(rig.clock.Now() + kSecond);
+  MetricsRegistry* metrics = rig.server->metrics();
+  Counter* appends = metrics->GetCounter("bistro_wal_appends_total", "");
+  Counter* syncs = metrics->GetCounter("bistro_wal_syncs_total", "");
+  const uint64_t appends_before = appends->value();
+  const uint64_t syncs_before = syncs->value();
+  rig.server->delivery()->SetOffline("s", false);
+  rig.loop.RunUntil(rig.clock.Now() + 30 * kSecond);
+  EXPECT_EQ(sink.files_received(), kFiles);
+  EXPECT_EQ(appends->value() - appends_before, kFiles);
+  EXPECT_EQ(syncs->value() - syncs_before, kFiles);
+  for (FileId id = 1; id <= kFiles; ++id) {
+    EXPECT_TRUE(rig.server->receipts()->Delivered("s", id)) << id;
+  }
+}
+
+// Refuses every append under the server's receipt store while `failing`.
+class FailingReceiptFs : public InMemoryFileSystem {
+ public:
+  Status AppendFile(const std::string& path, std::string_view data) override {
+    if (failing && path.rfind("/bistro/db/", 0) == 0) {
+      ++refused;
+      return Status::IoError("receipt store unavailable: " + path);
+    }
+    return InMemoryFileSystem::AppendFile(path, data);
+  }
+  bool failing = false;
+  int refused = 0;
+};
+
+TEST(EngineTest, ReceiptRetriesBackOffAndCommitOnceTheFaultClears) {
+  // The file reaches the subscriber, but its delivery receipt cannot
+  // commit for ten minutes. Receipt retries follow the delivery retry
+  // schedule (5 s, 15 s, 45 s, then the 2 min cap), not a fixed 5 s.
+  BistroServer::Options opts;
+  opts.delivery.retry_jitter = false;
+  RigOn<FailingReceiptFs> rig(kOneFeedOneSub, opts);
+  InMemoryFileSystem sub_fs;
+  FileSinkEndpoint sink(&sub_fs, "/r");
+  rig.transport.Register("s", &sink);
+  ASSERT_TRUE(rig.server->Deposit("p", "CPU_POLL1_201009250400.txt", "x").ok());
+  rig.fs.failing = true;
+  rig.loop.RunUntil(rig.clock.Now() + 10 * kMinute);
+  EXPECT_EQ(sink.files_received(), 1u);
+  EXPECT_FALSE(rig.server->receipts()->Delivered("s", 1));
+  EXPECT_GE(rig.fs.refused, 2);  // the first commit and at least one retry
+  EXPECT_LE(rig.fs.refused, 8);
+  rig.fs.failing = false;
+  rig.loop.RunUntil(rig.clock.Now() + 5 * kMinute);
+  EXPECT_TRUE(rig.server->receipts()->Delivered("s", 1));
+  EXPECT_EQ(sink.files_received(), 1u);
 }
 
 TEST(EngineTest, MaintenanceShipsReceiptSnapshotsToArchiver) {

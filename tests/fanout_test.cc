@@ -509,7 +509,7 @@ TEST(ShardedReceiptsTest, GoldenEquivalenceWithUnshardedLayout) {
     ASSERT_TRUE(db->RecordDeliveryGroup(
                       {{"alpha", 1, 150}, {"alpha", 3, 150}, {"beta", 2, 150}})
                     .ok());
-    ASSERT_TRUE(db->RecordDelivery("gamma", 5, 160).ok());
+    ASSERT_TRUE(db->RecordDeliveryGroup({{"gamma", 5, 160}}).ok());
   };
   workload(one->get());
   workload(four->get());
@@ -568,9 +568,11 @@ TEST(ShardedReceiptsTest, TornShardTailLosesOnlyThatShardsSuffix) {
   }
   // The sequence lives in shard 0 and committed first: the torn group
   // burned id 6 but a new arrival can never reuse it.
-  auto next = (*db)->NextFileId();
-  ASSERT_TRUE(next.ok());
-  EXPECT_GE(*next, 9u);
+  std::vector<ArrivalReceipt> next(1);
+  next[0].name = "after.dat";
+  next[0].feeds = {"FED"};
+  ASSERT_TRUE((*db)->RecordArrivalGroup(&next).ok());
+  EXPECT_GE(next[0].file_id, 9u);
 }
 
 // ------------------------------------------------------- admin console

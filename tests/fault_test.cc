@@ -311,7 +311,9 @@ TEST(FaultyVfsTest, SyncErrorKeepsBytesVolatile) {
   auto got = fs.ReadFile("/log");
   // The file was created by the append; the crash rolls it back to its
   // durable length, zero.
-  if (got.ok()) EXPECT_EQ(*got, "");
+  if (got.ok()) {
+    EXPECT_EQ(*got, "");
+  }
 }
 
 // ------------------------------------------------- WAL under injection
@@ -324,10 +326,10 @@ TEST(WalFaultTest, SyncedAppendsSurviveCrashUnsyncedDoNot) {
   {
     WriteAheadLog wal(&fs, "/wal");
     wal.set_sync_on_append(true);
-    ASSERT_TRUE(wal.Append("one").ok());
-    ASSERT_TRUE(wal.Append("two").ok());
+    ASSERT_TRUE(wal.AppendBatch({"one"}).ok());
+    ASSERT_TRUE(wal.AppendBatch({"two"}).ok());
     wal.set_sync_on_append(false);
-    ASSERT_TRUE(wal.Append("three").ok());  // buffered only
+    ASSERT_TRUE(wal.AppendBatch({"three"}).ok());  // buffered only
   }
   ASSERT_TRUE(fs.SimulateCrash().ok());
 
@@ -346,12 +348,14 @@ TEST(WalFaultTest, FailedSyncRollsTheRecordBack) {
 
   WriteAheadLog wal(&fs, "/wal");
   wal.set_sync_on_append(true);
-  EXPECT_FALSE(wal.Append("uncommitted").ok());
+  EXPECT_FALSE(wal.AppendBatch({"uncommitted"}).ok());
   // The record must not linger in the file: a later successful sync (or
   // the rollback write itself, which is durable) would otherwise make a
   // record the caller saw fail reappear at recovery.
   auto raw = base.ReadFile("/wal");
-  if (raw.ok()) EXPECT_EQ(*raw, "");
+  if (raw.ok()) {
+    EXPECT_EQ(*raw, "");
+  }
   std::vector<std::string> records;
   WriteAheadLog reopened(&base, "/wal");
   ASSERT_TRUE(
@@ -365,7 +369,7 @@ TEST(WalFaultTest, TornAppendNeverBecomesMidLogCorruption) {
   // First build a committed prefix with no faults.
   {
     WriteAheadLog wal(&base, "/wal");
-    ASSERT_TRUE(wal.Append("alpha").ok());
+    ASSERT_TRUE(wal.AppendBatch({"alpha"}).ok());
   }
   // Now a torn append: the write fails and its rollback also runs under
   // injection (worst case).
@@ -374,13 +378,13 @@ TEST(WalFaultTest, TornAppendNeverBecomesMidLogCorruption) {
         PlanFromText("fault_plan { vfs { torn_write 1.0; } }"));
     FaultyFileSystem fs(&base, &inj);
     WriteAheadLog wal(&fs, "/wal");
-    EXPECT_FALSE(wal.Append("beta").ok());
+    EXPECT_FALSE(wal.AppendBatch({"beta"}).ok());
   }
   // A subsequent clean append must land behind the committed prefix, not
   // behind torn garbage (which replay would flag as mid-log corruption).
   {
     WriteAheadLog wal(&base, "/wal");
-    ASSERT_TRUE(wal.Append("gamma").ok());
+    ASSERT_TRUE(wal.AppendBatch({"gamma"}).ok());
   }
   WriteAheadLog wal(&base, "/wal");
   std::vector<std::string> records;
@@ -393,9 +397,9 @@ TEST(WalFaultTest, CorruptionBeforeTailIsAnError) {
   InMemoryFileSystem fs;
   {
     WriteAheadLog wal(&fs, "/wal");
-    ASSERT_TRUE(wal.Append("record-one").ok());
-    ASSERT_TRUE(wal.Append("record-two").ok());
-    ASSERT_TRUE(wal.Append("record-three").ok());
+    ASSERT_TRUE(wal.AppendBatch({"record-one"}).ok());
+    ASSERT_TRUE(wal.AppendBatch({"record-two"}).ok());
+    ASSERT_TRUE(wal.AppendBatch({"record-three"}).ok());
   }
   // Flip a payload byte in the middle record: not a torn tail, so replay
   // must report corruption rather than silently truncate.
@@ -679,7 +683,7 @@ TEST(ReceiptFaultTest, TornDeliveryGroupVanishesWholeAndRecomputesQueue) {
       group.push_back(std::move(r));
     }
     ASSERT_TRUE((*db)->RecordArrivalGroup(&group).ok());
-    ASSERT_TRUE((*db)->RecordDelivery("s", 1, 20).ok());
+    ASSERT_TRUE((*db)->RecordDeliveryGroup({{"s", 1, 20}}).ok());
   }
   // A delivery group commit tears mid-append, then the machine dies.
   {

@@ -25,7 +25,7 @@ TEST(WalBatchTest, AppendBatchReplaysEveryRecord) {
   InMemoryFileSystem fs;
   WriteAheadLog wal(&fs, "/db/wal.log");
   ASSERT_TRUE(wal.AppendBatch({"one", "two", "three"}).ok());
-  ASSERT_TRUE(wal.Append("four").ok());
+  ASSERT_TRUE(wal.AppendBatch({"four"}).ok());
   std::vector<std::string> seen;
   bool torn = false;
   ASSERT_TRUE(
@@ -120,7 +120,9 @@ TEST(ReceiptGroupTest, GroupCommitAssignsAscendingIdsAndIndexes) {
   auto db = ReceiptDatabase::Open(&fs, "/db");
   ASSERT_TRUE(db.ok());
   EXPECT_EQ((*db)->ArrivalCount(), 3u);
-  EXPECT_EQ(*(*db)->NextFileId(), 4u);
+  std::vector<ArrivalReceipt> next = {SampleReceipt("f4.csv", "F", 13)};
+  ASSERT_TRUE((*db)->RecordArrivalGroup(&next).ok());
+  EXPECT_EQ(next[0].file_id, 4u);
   auto arrival = (*db)->GetArrival(3);
   ASSERT_TRUE(arrival.ok());
   EXPECT_EQ(arrival->name, "f3.csv");

@@ -10,6 +10,7 @@
 #include "kv/kvstore.h"
 #include "kv/receipts.h"
 #include "kv/wal.h"
+#include "obs/metrics.h"
 #include "vfs/memfs.h"
 
 namespace bistro {
@@ -20,9 +21,9 @@ namespace {
 TEST(WalTest, AppendAndReplay) {
   InMemoryFileSystem fs;
   WriteAheadLog wal(&fs, "/db/wal.log");
-  ASSERT_TRUE(wal.Append("one").ok());
-  ASSERT_TRUE(wal.Append("two").ok());
-  ASSERT_TRUE(wal.Append("three").ok());
+  ASSERT_TRUE(wal.AppendBatch({"one"}).ok());
+  ASSERT_TRUE(wal.AppendBatch({"two"}).ok());
+  ASSERT_TRUE(wal.AppendBatch({"three"}).ok());
   std::vector<std::string> seen;
   bool torn = false;
   ASSERT_TRUE(wal.Replay([&](std::string_view r) { seen.emplace_back(r); }, &torn).ok());
@@ -41,8 +42,8 @@ TEST(WalTest, EmptyLogReplaysNothing) {
 TEST(WalTest, TornTailIsToleratedNotCorruption) {
   InMemoryFileSystem fs;
   WriteAheadLog wal(&fs, "/db/wal.log");
-  ASSERT_TRUE(wal.Append("record_one").ok());
-  ASSERT_TRUE(wal.Append("record_two").ok());
+  ASSERT_TRUE(wal.AppendBatch({"record_one"}).ok());
+  ASSERT_TRUE(wal.AppendBatch({"record_two"}).ok());
   // Simulate a crash mid-write: truncate the file by a few bytes.
   std::string data = *fs.ReadFile("/db/wal.log");
   ASSERT_TRUE(fs.WriteFile("/db/wal.log", std::string_view(data).substr(0, data.size() - 4)).ok());
@@ -56,8 +57,8 @@ TEST(WalTest, TornTailIsToleratedNotCorruption) {
 TEST(WalTest, MidLogCorruptionIsError) {
   InMemoryFileSystem fs;
   WriteAheadLog wal(&fs, "/db/wal.log");
-  ASSERT_TRUE(wal.Append("record_one").ok());
-  ASSERT_TRUE(wal.Append("record_two").ok());
+  ASSERT_TRUE(wal.AppendBatch({"record_one"}).ok());
+  ASSERT_TRUE(wal.AppendBatch({"record_two"}).ok());
   std::string data = *fs.ReadFile("/db/wal.log");
   data[6] ^= 0x5A;  // flip a byte inside the first record's payload
   ASSERT_TRUE(fs.WriteFile("/db/wal.log", data).ok());
@@ -68,7 +69,7 @@ TEST(WalTest, MidLogCorruptionIsError) {
 TEST(WalTest, TruncateRemovesLog) {
   InMemoryFileSystem fs;
   WriteAheadLog wal(&fs, "/db/wal.log");
-  ASSERT_TRUE(wal.Append("x").ok());
+  ASSERT_TRUE(wal.AppendBatch({"x"}).ok());
   EXPECT_GT(wal.SizeBytes(), 0u);
   ASSERT_TRUE(wal.Truncate().ok());
   EXPECT_EQ(wal.SizeBytes(), 0u);
@@ -117,8 +118,8 @@ TEST(KvStoreTest, BatchIsAtomicAcrossTornTail) {
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("before", "1").ok());
     ASSERT_TRUE((*store)
-                    ->Apply({KvStore::Write::Put("batch_a", "x"),
-                             KvStore::Write::Put("batch_b", "y")})
+                    ->ApplyMulti({{KvStore::Write::Put("batch_a", "x"),
+                                   KvStore::Write::Put("batch_b", "y")}})
                     .ok());
   }
   // Tear the tail of the WAL: the second batch should vanish entirely.
@@ -195,10 +196,9 @@ TEST(KvStoreTest, EmptyKeyAndValue) {
 
 // ---------------------------------------------------------------- Receipts
 
-ArrivalReceipt MakeReceipt(FileId id, const std::string& name,
-                           std::vector<FeedName> feeds, TimePoint arrival) {
+ArrivalReceipt MakeReceipt(const std::string& name, std::vector<FeedName> feeds,
+                           TimePoint arrival) {
   ArrivalReceipt r;
-  r.file_id = id;
   r.name = name;
   r.staged_path = "/staging/" + name;
   r.size = 100;
@@ -208,6 +208,22 @@ ArrivalReceipt MakeReceipt(FileId id, const std::string& name,
   return r;
 }
 
+// Records one arrival as a group of one; returns the id it was assigned
+// (0 if the commit failed).
+FileId Arrive(ReceiptDatabase* db, const std::string& name,
+              std::vector<FeedName> feeds, TimePoint arrival) {
+  std::vector<ArrivalReceipt> group = {
+      MakeReceipt(name, std::move(feeds), arrival)};
+  if (!db->RecordArrivalGroup(&group).ok()) return 0;
+  return group[0].file_id;
+}
+
+// Records one delivery receipt as a group of one.
+Status Deliver(ReceiptDatabase* db, const SubscriberName& subscriber,
+               FileId id, TimePoint when) {
+  return db->RecordDeliveryGroup({{subscriber, id, when}});
+}
+
 TEST(ReceiptsTest, FileIdsAreDurableAndMonotonic) {
   InMemoryFileSystem fs;
   FileId last = 0;
@@ -215,33 +231,32 @@ TEST(ReceiptsTest, FileIdsAreDurableAndMonotonic) {
     auto db = ReceiptDatabase::Open(&fs, "/receipts");
     ASSERT_TRUE(db.ok());
     for (int i = 0; i < 5; ++i) {
-      auto id = (*db)->NextFileId();
-      ASSERT_TRUE(id.ok());
-      EXPECT_GT(*id, last);
-      last = *id;
+      FileId id = Arrive(db->get(), "f" + std::to_string(i), {"F"}, kSecond);
+      EXPECT_GT(id, last);
+      last = id;
     }
   }
   auto db = ReceiptDatabase::Open(&fs, "/receipts");
   ASSERT_TRUE(db.ok());
-  auto id = (*db)->NextFileId();
-  ASSERT_TRUE(id.ok());
-  EXPECT_GT(*id, last);
+  EXPECT_GT(Arrive(db->get(), "after-reopen", {"F"}, kSecond), last);
 }
 
 TEST(ReceiptsTest, ArrivalRoundTrip) {
   InMemoryFileSystem fs;
   auto db = ReceiptDatabase::Open(&fs, "/receipts");
   ASSERT_TRUE(db.ok());
-  auto r = MakeReceipt(7, "CPU_POLL1_201009250502.txt", {"SNMP.CPU"}, 10 * kSecond);
-  ASSERT_TRUE((*db)->RecordArrival(r).ok());
-  auto got = (*db)->GetArrival(7);
+  auto r = MakeReceipt("CPU_POLL1_201009250502.txt", {"SNMP.CPU"}, 10 * kSecond);
+  std::vector<ArrivalReceipt> group = {r};
+  ASSERT_TRUE((*db)->RecordArrivalGroup(&group).ok());
+  ASSERT_EQ(group[0].file_id, 1u);
+  auto got = (*db)->GetArrival(1);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->name, r.name);
   EXPECT_EQ(got->staged_path, r.staged_path);
   EXPECT_EQ(got->arrival_time, r.arrival_time);
   EXPECT_EQ(got->data_time, r.data_time);
   EXPECT_EQ(got->feeds, r.feeds);
-  EXPECT_EQ((*db)->FilesInFeed("SNMP.CPU"), std::vector<FileId>{7});
+  EXPECT_EQ((*db)->FilesInFeed("SNMP.CPU"), std::vector<FileId>{1});
 }
 
 TEST(ReceiptsTest, DeliveryQueueIsArrivalMinusDelivered) {
@@ -249,13 +264,12 @@ TEST(ReceiptsTest, DeliveryQueueIsArrivalMinusDelivered) {
   auto db = ReceiptDatabase::Open(&fs, "/receipts");
   ASSERT_TRUE(db.ok());
   for (FileId id = 1; id <= 4; ++id) {
-    ASSERT_TRUE((*db)
-                    ->RecordArrival(MakeReceipt(id, "f" + std::to_string(id),
-                                                {"SNMP.CPU"}, id * kSecond))
-                    .ok());
+    ASSERT_EQ(Arrive(db->get(), "f" + std::to_string(id), {"SNMP.CPU"},
+                     id * kSecond),
+              id);
   }
-  ASSERT_TRUE((*db)->RecordDelivery("dallas", 1, 10 * kSecond).ok());
-  ASSERT_TRUE((*db)->RecordDelivery("dallas", 3, 10 * kSecond).ok());
+  ASSERT_TRUE(Deliver(db->get(), "dallas", 1, 10 * kSecond).ok());
+  ASSERT_TRUE(Deliver(db->get(), "dallas", 3, 10 * kSecond).ok());
   auto queue = (*db)->ComputeDeliveryQueue("dallas", {"SNMP.CPU"});
   ASSERT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue[0].file_id, 2u);
@@ -271,8 +285,8 @@ TEST(ReceiptsTest, QueueUnionsFeedsWithoutDuplicates) {
   auto db = ReceiptDatabase::Open(&fs, "/receipts");
   ASSERT_TRUE(db.ok());
   // File 1 belongs to both feeds a subscriber follows.
-  ASSERT_TRUE((*db)->RecordArrival(MakeReceipt(1, "x", {"SNMP.CPU", "SNMP.BPS"}, kSecond)).ok());
-  ASSERT_TRUE((*db)->RecordArrival(MakeReceipt(2, "y", {"SNMP.BPS"}, kSecond)).ok());
+  ASSERT_EQ(Arrive(db->get(), "x", {"SNMP.CPU", "SNMP.BPS"}, kSecond), 1u);
+  ASSERT_EQ(Arrive(db->get(), "y", {"SNMP.BPS"}, kSecond), 2u);
   auto queue = (*db)->ComputeDeliveryQueue("w", {"SNMP.CPU", "SNMP.BPS"});
   EXPECT_EQ(queue.size(), 2u);
 }
@@ -281,8 +295,8 @@ TEST(ReceiptsTest, WindowStartFiltersOldFiles) {
   InMemoryFileSystem fs;
   auto db = ReceiptDatabase::Open(&fs, "/receipts");
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE((*db)->RecordArrival(MakeReceipt(1, "old", {"F"}, 1 * kHour)).ok());
-  ASSERT_TRUE((*db)->RecordArrival(MakeReceipt(2, "new", {"F"}, 3 * kHour)).ok());
+  ASSERT_EQ(Arrive(db->get(), "old", {"F"}, 1 * kHour), 1u);
+  ASSERT_EQ(Arrive(db->get(), "new", {"F"}, 3 * kHour), 2u);
   auto queue = (*db)->ComputeDeliveryQueue("s", {"F"}, 2 * kHour);
   ASSERT_EQ(queue.size(), 1u);
   EXPECT_EQ(queue[0].name, "new");
@@ -292,8 +306,8 @@ TEST(ReceiptsTest, ExpireBeforeRemovesReceiptsAndReportsPaths) {
   InMemoryFileSystem fs;
   auto db = ReceiptDatabase::Open(&fs, "/receipts");
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE((*db)->RecordArrival(MakeReceipt(1, "old", {"F"}, 1 * kHour)).ok());
-  ASSERT_TRUE((*db)->RecordArrival(MakeReceipt(2, "new", {"F"}, 3 * kHour)).ok());
+  ASSERT_EQ(Arrive(db->get(), "old", {"F"}, 1 * kHour), 1u);
+  ASSERT_EQ(Arrive(db->get(), "new", {"F"}, 3 * kHour), 2u);
   auto expunged = (*db)->ExpireBefore(2 * kHour);
   ASSERT_TRUE(expunged.ok());
   ASSERT_EQ(expunged->size(), 1u);
@@ -309,9 +323,9 @@ TEST(ReceiptsTest, ReceiptsSurviveCrash) {
   {
     auto db = ReceiptDatabase::Open(&fs, "/receipts");
     ASSERT_TRUE(db.ok());
-    ASSERT_TRUE((*db)->RecordArrival(MakeReceipt(1, "a", {"F"}, kSecond)).ok());
-    ASSERT_TRUE((*db)->RecordDelivery("s", 1, 2 * kSecond).ok());
-    ASSERT_TRUE((*db)->RecordArrival(MakeReceipt(2, "b", {"F"}, kSecond)).ok());
+    ASSERT_EQ(Arrive(db->get(), "a", {"F"}, kSecond), 1u);
+    ASSERT_TRUE(Deliver(db->get(), "s", 1, 2 * kSecond).ok());
+    ASSERT_EQ(Arrive(db->get(), "b", {"F"}, kSecond), 2u);
   }
   auto db = ReceiptDatabase::Open(&fs, "/receipts");
   ASSERT_TRUE(db.ok());
@@ -334,10 +348,8 @@ TEST_P(ReceiptsPropertyTest, QueueInvariant) {
   for (int step = 0; step < 200; ++step) {
     if (arrived.empty() || rng.Bernoulli(0.6)) {
       FileId id = next_id++;
-      ASSERT_TRUE((*db)
-                      ->RecordArrival(MakeReceipt(id, "f" + std::to_string(id),
-                                                  {"F"}, kSecond))
-                      .ok());
+      ASSERT_EQ(Arrive(db->get(), "f" + std::to_string(id), {"F"}, kSecond),
+                id);
       arrived.insert(id);
     } else {
       // Deliver a random undelivered file.
@@ -347,7 +359,7 @@ TEST_P(ReceiptsPropertyTest, QueueInvariant) {
       }
       if (undelivered.empty()) continue;
       FileId id = undelivered[rng.Uniform(undelivered.size())];
-      ASSERT_TRUE((*db)->RecordDelivery("s", id, 2 * kSecond).ok());
+      ASSERT_TRUE(Deliver(db->get(), "s", id, 2 * kSecond).ok());
       delivered.insert(id);
     }
   }
@@ -362,6 +374,80 @@ TEST_P(ReceiptsPropertyTest, QueueInvariant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReceiptsPropertyTest, ::testing::Range(1, 8));
+
+// ------------------------------------------------------------ On-disk golden
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+// The WAL bytes of the scripted sequence below: the format every commit
+// routine writes. A change here breaks recovery of existing stores.
+constexpr char kGoldenWalHex[] =
+    "f1fe294f080101036f6e6501318b5592f10601010161017844dbd38406010101"
+    "620179c9e0181c0601010163017a54ab61d9090201016401770001610b8206ed"
+    "060100036f6e6565591ebf08010103736571013255c5517e66030112612f3030"
+    "30303030303030303030303030312266311f2f73746167696e672f66311f462f"
+    "66311f31301f313030303030301f311f4601046e2f6631103030303030303030"
+    "30303030303030310114662f462f30303030303030303030303030303031009f"
+    "9ccf9b7f040112612f303030303030303030303030303030322466321f2f7374"
+    "6167696e672f66321f462f66321f31311f323030303030301f321f462c470104"
+    "6e2f663210303030303030303030303030303030320114662f462f3030303030"
+    "3030303030303030303032000114662f472f3030303030303030303030303030"
+    "3032006fb75b271f010114642f732f3030303030303030303030303030303107"
+    "33303030303030";
+
+// One fsynced receipt store driven through each commit path: a
+// one-record commit, a three-record group, a batch with a delete, a
+// single-write delete, an arrival group and one delivery receipt. The log
+// must match the pinned bytes, with one fsync per commit.
+TEST(WalGoldenTest, CommitSequenceWritesPinnedBytesAndOneSyncPerCommit) {
+  InMemoryFileSystem fs;
+  MetricsRegistry registry;
+  KvStore::Options opts;
+  opts.checkpoint_wal_bytes = 0;
+  opts.sync_wal = true;
+  auto db = ReceiptDatabase::Open(&fs, "/db", opts);
+  ASSERT_TRUE(db.ok());
+  (*db)->AttachMetrics(&registry);
+  KvStore* kv = (*db)->kv();
+  ASSERT_TRUE(kv->Put("one", "1").ok());
+  ASSERT_TRUE(kv->ApplyMulti({{KvStore::Write::Put("a", "x")},
+                              {KvStore::Write::Put("b", "y")},
+                              {KvStore::Write::Put("c", "z")}})
+                  .ok());
+  ASSERT_TRUE(kv->ApplyMulti({{KvStore::Write::Put("d", "w"),
+                               KvStore::Write::Del("a")}})
+                  .ok());
+  ASSERT_TRUE(kv->Delete("one").ok());
+  std::vector<ArrivalReceipt> group(2);
+  for (size_t i = 0; i < group.size(); ++i) {
+    group[i].name = "f" + std::to_string(i + 1);
+    group[i].staged_path = "/staging/" + group[i].name;
+    group[i].rel_path = "F/" + group[i].name;
+    group[i].size = 10 + i;
+    group[i].arrival_time = static_cast<TimePoint>(i + 1) * kSecond;
+    group[i].data_time = static_cast<TimePoint>(i + 1);
+    group[i].feeds = {"F"};
+  }
+  group[1].feeds.push_back("G");
+  ASSERT_TRUE((*db)->RecordArrivalGroup(&group).ok());
+  ASSERT_TRUE((*db)->RecordDeliveryGroup({{"s", 1, 3 * kSecond}}).ok());
+
+  auto wal = fs.ReadFile("/db/wal.log");
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(Hex(*wal), kGoldenWalHex);
+  // Six commits, one fsync each; ten records (the arrival group carries
+  // the sequence bump plus two receipts).
+  EXPECT_EQ(registry.GetCounter("bistro_wal_syncs_total", "")->value(), 6u);
+  EXPECT_EQ(registry.GetCounter("bistro_wal_appends_total", "")->value(), 10u);
+}
 
 }  // namespace
 }  // namespace bistro

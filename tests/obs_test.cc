@@ -221,7 +221,9 @@ TEST(FileTracerTest, SpansOrderedAndRolledUpUnderSimClock) {
   ASSERT_EQ(trace->marks.size(), 8u);
   for (size_t i = 0; i < trace->marks.size(); ++i) {
     EXPECT_EQ(trace->marks[i].stage, static_cast<PipelineStage>(i));
-    if (i > 0) EXPECT_GE(trace->marks[i].at, trace->marks[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(trace->marks[i].at, trace->marks[i - 1].at);
+    }
   }
   EXPECT_EQ(trace->start(), t0);
 
@@ -370,7 +372,9 @@ TEST(ObsEndToEndTest, DeliveryCountersAndLatencyHistogramOverSimulatedWan) {
   ASSERT_GE(trace->marks.size(), 8u);
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(trace->marks[i].stage, static_cast<PipelineStage>(i));
-    if (i > 0) EXPECT_GE(trace->marks[i].at, trace->marks[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(trace->marks[i].at, trace->marks[i - 1].at);
+    }
   }
   // Transport counters flowed through the shared registry too.
   EXPECT_GE(registry.GetCounter("bistro_net_sends_total", "")->value(),

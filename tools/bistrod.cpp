@@ -8,15 +8,15 @@
 // (the `destination` attribute); trigger commands run via the shell.
 //
 // Usage:
-//   bistrod --config feeds.conf --root /var/bistro \
-//           [--scan-interval 10s] [--status-interval 60s] \
-//           [--window 7d] [--duration 0 (run forever)] \
+//   bistrod --config feeds.conf --root /var/bistro
+//           [--scan-interval 10s] [--status-interval 60s]
+//           [--window 7d] [--duration 0 (run forever)]
 //           [--listen ip:port (accept Bistro-to-Bistro connections;
-//            overrides the config's server { listen; })] \
+//            overrides the config's server { listen; })]
 //           [--port-file <path> (write the bound listen port, for
-//            ephemeral-port orchestration)] \
-//           [--durable (fsync staged files and receipt WAL writes)] \
-//           [--metrics-json <path> (dump a metrics snapshot on shutdown)] \
+//            ephemeral-port orchestration)]
+//           [--durable (fsync staged files and receipt WAL writes)]
+//           [--metrics-json <path> (dump a metrics snapshot on shutdown)]
 //           [--admin-file <path> (poll for operator commands: status,
 //            deadletters, redrive, peers — one per line; file is consumed)]
 //
