@@ -31,12 +31,11 @@ class ThreadPool {
   void Shutdown();
 
   size_t num_threads() const { return threads_.size(); }
-  size_t QueueDepth() const;
 
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;

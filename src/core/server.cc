@@ -363,17 +363,6 @@ void BistroServer::RunMaintenance() {
     }
   }
   monitor_.CheckStalls(now);
-  if (receipt_archiver_ != nullptr) {
-    std::string snapshot_name =
-        StrFormat("receipts-%016llu",
-                  (unsigned long long)receipt_snapshot_seq_++);
-    auto shipped =
-        ShipReceiptState(fs_, options_.db_dir, receipt_archiver_, snapshot_name);
-    if (!shipped.ok()) {
-      logger_->Error("archiver", "receipt snapshot failed: " +
-                                     shipped.status().ToString());
-    }
-  }
 }
 
 void BistroServer::StartMaintenanceTimer() {

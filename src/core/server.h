@@ -11,7 +11,6 @@
 #include "config/registry.h"
 #include "core/monitor.h"
 #include "core/types.h"
-#include "delivery/archiver.h"
 #include "delivery/engine.h"
 #include "ingest/pipeline.h"
 #include "ingest/plan.h"
@@ -124,17 +123,7 @@ class BistroServer : public Endpoint {
   /// window.
   Result<std::string> Retrieve(FileId file_id) const;
 
-  /// Attaches an archiver node that receives periodic receipt-database
-  /// snapshots during maintenance (§4.2: archivers keep "optionally
-  /// undo/redo logs of delivery receipt database on tertiary storage").
-  /// For feed-content archival, additionally subscribe the archiver like
-  /// any subscriber. Pass nullptr to detach.
-  void SetReceiptArchiver(ArchiverEndpoint* archiver) {
-    receipt_archiver_ = archiver;
-  }
-
-  /// Runs one maintenance pass now: expire old files, check stalls,
-  /// ship a receipt snapshot to the attached archiver (if any).
+  /// Runs one maintenance pass now: expire old files, check stalls.
   void RunMaintenance();
 
   /// Starts the periodic maintenance timer on the event loop.
@@ -211,8 +200,6 @@ class BistroServer : public Endpoint {
   std::unique_ptr<DeliveryScheduler> owned_scheduler_;
   std::unique_ptr<DeliveryEngine> delivery_;
   FeedMonitor monitor_;
-  ArchiverEndpoint* receipt_archiver_ = nullptr;
-  uint64_t receipt_snapshot_seq_ = 0;
   Counter* files_received_;
   Counter* files_classified_;
   Counter* files_unmatched_;

@@ -65,11 +65,4 @@ void StagedPayloadCache::Invalidate(const std::string& staged_path) {
   if (bytes_gauge_ != nullptr) bytes_gauge_->Set(static_cast<double>(bytes_));
 }
 
-void StagedPayloadCache::Clear() {
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  if (bytes_gauge_ != nullptr) bytes_gauge_->Set(0);
-}
-
 }  // namespace bistro

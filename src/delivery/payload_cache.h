@@ -37,9 +37,8 @@ class StagedPayloadCache {
   /// file on a miss. Errors come from the filesystem read.
   Result<Entry> Get(const std::string& staged_path);
 
-  /// Drops one path (e.g. after the staged file is rewritten) or all.
+  /// Drops one path (e.g. after the staged file is rewritten).
   void Invalidate(const std::string& staged_path);
-  void Clear();
 
   void AttachMetrics(MetricsRegistry* registry);
 

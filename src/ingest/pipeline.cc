@@ -8,18 +8,6 @@
 
 namespace bistro {
 
-std::string_view OverloadPolicyName(OverloadPolicy policy) {
-  switch (policy) {
-    case OverloadPolicy::kBlock:
-      return "block";
-    case OverloadPolicy::kShedOldest:
-      return "shed_oldest";
-    case OverloadPolicy::kSpillToDisk:
-      return "spill";
-  }
-  return "block";
-}
-
 Result<OverloadPolicy> OverloadPolicyFromName(std::string_view name) {
   if (name == "block") return OverloadPolicy::kBlock;
   if (name == "shed_oldest") return OverloadPolicy::kShedOldest;

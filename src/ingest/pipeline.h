@@ -43,7 +43,6 @@ enum class OverloadPolicy {
   kSpillToDisk,
 };
 
-std::string_view OverloadPolicyName(OverloadPolicy policy);
 Result<OverloadPolicy> OverloadPolicyFromName(std::string_view name);
 
 /// By-value snapshot of the pipeline's counters and queue depths.

@@ -312,6 +312,22 @@ Result<std::vector<std::string>> ReceiptDatabase::ExpireBefore(TimePoint cutoff)
     }
     if (!batch.empty()) BISTRO_RETURN_IF_ERROR(kv->ApplyMulti({batch}));
   }
+  // Delivery rows live in their subscriber's shard, so each shard drops
+  // its own. Once the a/ pass has committed, an expired file has no
+  // arrival receipt; deleting every d/ row without one also collects the
+  // rows a crash between the two passes left behind.
+  if (!expunged_paths.empty()) {
+    for (const auto& kv : kvs_) {
+      std::vector<KvStore::Write> batch;
+      for (const auto& [key, value] : kv->ScanPrefix("d/")) {
+        std::string idkey = key.substr(key.rfind('/') + 1);
+        auto id = ParseFileIdKey(idkey);
+        if (!id.ok() || kvs_[ShardOfId(*id)]->Contains("a/" + idkey)) continue;
+        batch.push_back(KvStore::Write::Del(key));
+      }
+      if (!batch.empty()) BISTRO_RETURN_IF_ERROR(kv->ApplyMulti({batch}));
+    }
+  }
   if (files_expired_ != nullptr) {
     files_expired_->Increment(expunged_paths.size());
   }

@@ -120,8 +120,14 @@ class ReceiptDatabase {
       const SubscriberName& subscriber, const std::vector<FeedName>& feeds,
       TimePoint window_start = 0) const;
 
-  /// Deletes all receipts for files with arrival_time < cutoff, returning
-  /// the staged paths of expunged files (for the window cleaner).
+  /// Deletes every receipt of the files with arrival_time < cutoff: the
+  /// arrival, feed-index and name rows, then the delivery rows of every
+  /// subscriber and group member, with one group commit per touched shard.
+  /// That second pass also drops any delivery row whose file has no
+  /// arrival receipt, so rows a crash between the passes left behind are
+  /// collected by the next call that expires a file; a call with nothing
+  /// due scans no delivery rows. Returns the staged paths of expunged
+  /// files (for the window cleaner).
   Result<std::vector<std::string>> ExpireBefore(TimePoint cutoff);
 
   /// Number of arrival receipts (summed across shards).

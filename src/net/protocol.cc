@@ -146,48 +146,4 @@ Result<Message> DecodeMessage(std::string_view data, size_t max_frame_bytes) {
   return msg;
 }
 
-std::string EncodeBundle(const std::vector<Message>& msgs) {
-  std::string out;
-  PutVarint(&out, msgs.size());
-  for (const Message& msg : msgs) AppendMessage(msg, &out);
-  return out;
-}
-
-Result<std::vector<Message>> DecodeBundle(std::string_view data,
-                                          size_t max_frame_bytes) {
-  uint64_t count;
-  if (!GetVarint(&data, &count)) return Status::Corruption("bundle: bad count");
-  // The claimed count sizes the reserve below, so validate it against the
-  // bytes actually present first: every encoded message occupies at least
-  // one byte, so a count beyond the remaining size is provably a lie (in
-  // practice a hostile header) and must not drive an allocation.
-  if (count > data.size()) {
-    return Status::Corruption("bundle: count exceeds data");
-  }
-  // Each inner blob is self-delimiting (varint body length + 4-byte frame
-  // CRC + body), so peel off one exact extent per message.
-  std::vector<Message> msgs;
-  msgs.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string_view probe = data;
-    uint64_t body_len;
-    if (!GetVarint(&probe, &body_len)) {
-      return Status::Corruption("bundle: truncated");
-    }
-    if (body_len > max_frame_bytes) {
-      return Status::Corruption("bundle: body exceeds max_frame_bytes");
-    }
-    if (probe.size() < 4 + body_len) {
-      return Status::Corruption("bundle: truncated");
-    }
-    size_t blob_len = (data.size() - probe.size()) + 4 + body_len;
-    BISTRO_ASSIGN_OR_RETURN(
-        Message msg, DecodeMessage(data.substr(0, blob_len), max_frame_bytes));
-    msgs.push_back(std::move(msg));
-    data.remove_prefix(blob_len);
-  }
-  if (!data.empty()) return Status::Corruption("bundle: trailing bytes");
-  return msgs;
-}
-
 }  // namespace bistro

@@ -130,21 +130,6 @@ void AppendMessage(const Message& msg, std::string* out);
 Result<Message> DecodeMessage(std::string_view data,
                               size_t max_frame_bytes = kDefaultMaxFrameBytes);
 
-/// Serializes several messages into one multi-message wire frame
-/// (varint count + concatenated EncodeMessage blobs). Used by the
-/// delivery coalescing path: many small files to one subscriber ride a
-/// single frame — one link round trip — while each inner message keeps
-/// its own CRC and ack bookkeeping.
-std::string EncodeBundle(const std::vector<Message>& msgs);
-
-/// Parses a frame produced by EncodeBundle. Callers must know a frame is
-/// a bundle (the transports keep bundle and single sends on separate
-/// paths); the format is not self-describing against EncodeMessage.
-/// The claimed message count is validated against the bytes actually
-/// present before any allocation sized from it.
-Result<std::vector<Message>> DecodeBundle(
-    std::string_view data, size_t max_frame_bytes = kDefaultMaxFrameBytes);
-
 }  // namespace bistro
 
 #endif  // BISTRO_NET_PROTOCOL_H_

@@ -196,69 +196,48 @@ void SocketTransport::SendLocal(Endpoint* ep, const Message& msg,
 
 void SocketTransport::Send(const std::string& endpoint, const Message& msg,
                            SendCallback done) {
+  auto pit = peers_.find(endpoint);
+  if (pit != peers_.end() && local_endpoints_.count(endpoint) == 0) {
+    std::vector<BundleItem> one;
+    one.push_back(BundleItem{msg, std::move(done)});  // payload is shared
+    SendToPeer(endpoint, &pit->second, std::move(one));
+    return;
+  }
   CountSend(msg.payload.size());
   auto lit = local_endpoints_.find(endpoint);
   if (lit != local_endpoints_.end()) {
     SendLocal(lit->second, msg, std::move(done));
     return;
   }
-  auto pit = peers_.find(endpoint);
-  if (pit == peers_.end()) {
-    std::weak_ptr<bool> alive = alive_;
-    loop_->Post([this, alive, endpoint, done] {
-      auto self = alive.lock();
-      if (self == nullptr || !*self) return;
-      FailCallback(done, Status::Unavailable("no endpoint: " + endpoint));
-    });
-    return;
-  }
-  Peer& peer = pit->second;
-  Conn* conn = peer.conn.get();
-
-  if (gate_) {
-    Status gated = gate_(endpoint, msg);
-    if (!gated.ok()) {
-      ++gate_rejects_;
-      if (m_gate_rejects_ != nullptr) m_gate_rejects_->Increment();
-      FailCallback(done, gated);
-      return;
-    }
-  }
-
-  Message framed = msg;  // cheap: payload bytes are shared
-  framed.net_seq = peer.next_seq++;
-  std::string frame = EncodeMessage(framed);
-  if (conn->outq_bytes + frame.size() > options_.outbound_queue_bytes) {
-    if (m_queue_rejects_ != nullptr) m_queue_rejects_->Increment();
-    FailCallback(done,
-                 Status::Unavailable("outbound queue full: " + endpoint));
-    return;
-  }
-  peer.pending[framed.net_seq] = PendingSend{std::move(done), loop_->Now()};
-  ArmAckSweep();
-  EnqueueFrame(conn, std::move(frame));
-  EnsureConnected(endpoint, &peer);
-  if (conn->fd >= 0 && !conn->connecting) {
-    Status s = FlushWrites(conn);
-    if (!s.ok()) DropPeerConn(endpoint, &peer, s, /*reconnect=*/true);
-  }
+  std::weak_ptr<bool> alive = alive_;
+  loop_->Post([this, alive, endpoint, done] {
+    auto self = alive.lock();
+    if (self == nullptr || !*self) return;
+    FailCallback(done, Status::Unavailable("no endpoint: " + endpoint));
+  });
 }
 
 void SocketTransport::SendBundle(const std::string& endpoint,
                                  std::vector<BundleItem> items) {
-  if (local_endpoints_.count(endpoint) != 0 ||
-      peers_.count(endpoint) == 0) {
+  auto pit = peers_.find(endpoint);
+  if (pit == peers_.end() || local_endpoints_.count(endpoint) != 0) {
     // Local endpoints and unknown names take the per-message path (which
     // resolves them identically to Send).
     Transport::SendBundle(endpoint, std::move(items));
     return;
   }
-  Peer& peer = peers_[endpoint];
-  Conn* conn = peer.conn.get();
+  SendToPeer(endpoint, &pit->second, std::move(items));
+}
 
-  if (gate_ && !items.empty()) {
+void SocketTransport::SendToPeer(const std::string& endpoint, Peer* peer,
+                                 std::vector<BundleItem> items) {
+  if (items.empty()) return;
+  for (const BundleItem& item : items) CountSend(item.msg.payload.size());
+  Conn* conn = peer->conn.get();
+
+  if (gate_) {
     // Bundles are homogeneous (coalesced push files), so one gate
-    // decision covers the frame; every item fails together.
+    // decision covers the burst; every item fails together.
     Status gated = gate_(endpoint, items[0].msg);
     if (!gated.ok()) {
       ++gate_rejects_;
@@ -273,31 +252,30 @@ void SocketTransport::SendBundle(const std::string& endpoint,
   std::string burst;
   std::vector<std::pair<uint64_t, SendCallback>> seqs;
   seqs.reserve(items.size());
-  uint64_t first_seq = peer.next_seq;
+  uint64_t first_seq = peer->next_seq;
   for (BundleItem& item : items) {
-    CountSend(item.msg.payload.size());
     Message framed = std::move(item.msg);
-    framed.net_seq = peer.next_seq++;
+    framed.net_seq = peer->next_seq++;
     AppendMessage(framed, &burst);
     seqs.emplace_back(framed.net_seq, std::move(item.done));
   }
   if (conn->outq_bytes + burst.size() > options_.outbound_queue_bytes) {
     if (m_queue_rejects_ != nullptr) m_queue_rejects_->Increment();
-    peer.next_seq = first_seq;  // nothing went on the wire
+    peer->next_seq = first_seq;  // nothing went on the wire
     Status s = Status::Unavailable("outbound queue full: " + endpoint);
     for (auto& [seq, done] : seqs) FailCallback(done, s);
     return;
   }
   TimePoint now = loop_->Now();
   for (auto& [seq, done] : seqs) {
-    peer.pending[seq] = PendingSend{std::move(done), now};
+    peer->pending[seq] = PendingSend{std::move(done), now};
   }
   ArmAckSweep();
   EnqueueFrame(conn, std::move(burst));
-  EnsureConnected(endpoint, &peer);
+  EnsureConnected(endpoint, peer);
   if (conn->fd >= 0 && !conn->connecting) {
     Status s = FlushWrites(conn);
-    if (!s.ok()) DropPeerConn(endpoint, &peer, s, /*reconnect=*/true);
+    if (!s.ok()) DropPeerConn(endpoint, peer, s, /*reconnect=*/true);
   }
 }
 

@@ -32,7 +32,8 @@ namespace bistro {
 /// Unavailable, so the delivery engine's retry/backoff/dead-letter
 /// machinery treats socket trouble exactly like a flaky simulated link.
 /// SendBundle concatenates the frames into one queue entry (one write
-/// burst) but keeps per-item sequences and callbacks.
+/// burst) but keeps per-item sequences and callbacks; a peer Send is a
+/// bundle of one.
 ///
 /// Receiving. An accepting transport hands every non-ack inbound message
 /// to the endpoint set with SetInboundEndpoint (a federated downstream
@@ -256,6 +257,10 @@ class SocketTransport : public Transport {
 
   // In-process path for locally registered endpoints (no frame).
   void SendLocal(Endpoint* ep, const Message& msg, SendCallback done);
+  // The one peer-send body: gate, net_seq, encode, queue cap, pending
+  // entries, ack sweep, enqueue, connect and flush. Send is a bundle of one.
+  void SendToPeer(const std::string& endpoint, Peer* peer,
+                  std::vector<BundleItem> items);
 
   void FailCallback(const SendCallback& done, const Status& status);
 

@@ -1,6 +1,7 @@
 #include "net/transport.h"
 
 #include "common/hash.h"
+#include "net/stream.h"
 
 namespace bistro {
 
@@ -36,19 +37,6 @@ void Transport::SendBundle(const std::string& endpoint,
   }
 }
 
-namespace {
-
-// Decodes what Send (one message) or SendBundle (a bundle) framed.
-Result<std::vector<Message>> DecodeFrame(std::string_view wire, bool bundle) {
-  if (bundle) return DecodeBundle(wire);
-  BISTRO_ASSIGN_OR_RETURN(Message msg, DecodeMessage(wire));
-  std::vector<Message> one;
-  one.push_back(std::move(msg));
-  return one;
-}
-
-}  // namespace
-
 void SimTransport::Register(const std::string& name, Endpoint* endpoint) {
   endpoints_[name] = endpoint;
 }
@@ -63,32 +51,30 @@ void SimTransport::Send(const std::string& endpoint, const Message& msg,
   std::vector<SendCallback> dones;
   dones.push_back(std::move(done));
   Transmit(endpoint, msg.payload.size() + msg.name.size() + 64,
-           /*bundle=*/false, EncodeMessage(msg), std::move(dones));
+           EncodeMessage(msg), std::move(dones));
 }
 
 void SimTransport::SendBundle(const std::string& endpoint,
                               std::vector<BundleItem> items) {
-  // One frame on the link: a single 64-byte frame header covers the whole
-  // group, each inner message paying only a small per-record overhead —
-  // and, crucially, the link's latency is charged once for the frame
-  // instead of once per file.
+  // The socket's bundle: the frames back to back, one write. On the link a
+  // single 64-byte header covers the whole group, each inner message
+  // paying only a small per-record overhead — and, crucially, the link's
+  // latency is charged once for the group instead of once per file.
   uint64_t bytes = 64;
-  std::vector<Message> msgs;
+  std::string wire;
   std::vector<SendCallback> dones;
-  msgs.reserve(items.size());
   dones.reserve(items.size());
   for (BundleItem& item : items) {
     CountSend(item.msg.payload.size());
     bytes += item.msg.payload.size() + item.msg.name.size() + 16;
-    msgs.push_back(std::move(item.msg));
+    AppendMessage(item.msg, &wire);
     dones.push_back(std::move(item.done));
   }
-  Transmit(endpoint, bytes, /*bundle=*/true, EncodeBundle(msgs),
-           std::move(dones));
+  Transmit(endpoint, bytes, std::move(wire), std::move(dones));
 }
 
 void SimTransport::Transmit(const std::string& endpoint, uint64_t link_bytes,
-                            bool bundle, std::string wire,
+                            std::string wire,
                             std::vector<SendCallback> dones) {
   auto fail_all = [this](const std::vector<SendCallback>& dones,
                          const Status& status) {
@@ -108,7 +94,7 @@ void SimTransport::Transmit(const std::string& endpoint, uint64_t link_bytes,
     }
     due = *completion;
   }
-  loop_->PostAt(due, [this, fail_all, endpoint, bundle, wire = std::move(wire),
+  loop_->PostAt(due, [this, fail_all, endpoint, wire = std::move(wire),
                       dones = std::move(dones)] {
     auto it = endpoints_.find(endpoint);
     Endpoint* ep = it == endpoints_.end() ? nullptr : it->second;
@@ -116,16 +102,22 @@ void SimTransport::Transmit(const std::string& endpoint, uint64_t link_bytes,
       fail_all(dones, Status::Unavailable("no endpoint: " + endpoint));
       return;
     }
-    auto decoded = DecodeFrame(wire, bundle);
-    if (!decoded.ok()) {
-      fail_all(dones, decoded.status());
+    // A torn stream fails every callback: no frame of it is trusted.
+    MessageStreamDecoder decoder;
+    Status fed = decoder.Feed(wire);
+    if (fed.ok() && decoder.buffered_bytes() != 0) {
+      fed = Status::Corruption("message stream: truncated frame");
+    }
+    if (!fed.ok()) {
+      fail_all(dones, fed);
       return;
     }
-    for (size_t i = 0; i < dones.size(); ++i) {
-      Status s = i < decoded->size() ? ep->HandleMessage((*decoded)[i])
-                                     : Status::Corruption("bundle: short");
+    for (const SendCallback& done : dones) {
+      std::optional<Message> msg = decoder.Next();
+      Status s = msg ? ep->HandleMessage(*msg)
+                     : Status::Corruption("message stream: no frame for send");
       CountOutcome(s);
-      dones[i](s);
+      done(s);
     }
   });
 }

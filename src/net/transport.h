@@ -30,9 +30,9 @@ class Endpoint {
 /// Completion callback for an asynchronous send.
 using SendCallback = std::function<void(const Status&)>;
 
-/// One message of a coalesced multi-file frame, with its own completion
+/// One message of a coalesced multi-file write, with its own completion
 /// callback — per-file acks survive coalescing, so exactly-once
-/// bookkeeping never depends on frame boundaries.
+/// bookkeeping never depends on write boundaries.
 struct BundleItem {
   Message msg;
   SendCallback done;
@@ -50,8 +50,9 @@ class Transport {
   virtual void Send(const std::string& endpoint, const Message& msg,
                     SendCallback done) = 0;
 
-  /// Sends several messages to one endpoint as a single wire frame when
-  /// the transport supports it (one link round trip covers the group).
+  /// Sends several messages to one endpoint as back-to-back frames in one
+  /// write when the transport supports it (one link round trip covers the
+  /// group).
   /// The base implementation degrades to per-message Send, so transports
   /// and decorators that never see bundles keep working. Each item's
   /// callback fires individually: one rejected file NACKs alone without
@@ -84,10 +85,11 @@ class Transport {
 };
 
 /// The in-process and simulated-WAN transport. Every send round-trips
-/// through the frame codec and is handed to the registered Endpoint on
-/// the event loop; the endpoint resolves at delivery time, so a receiver
-/// unregistered (or replaced) mid-flight bounces the message with
-/// Unavailable (or gets it at its current incarnation).
+/// through the socket's wire format — a bundle is its frames back to back,
+/// a single send a stream of one frame — and is handed to the registered
+/// Endpoint on the event loop; the endpoint resolves at delivery time, so
+/// a receiver unregistered (or replaced) mid-flight bounces the message
+/// with Unavailable (or gets it at its current incarnation).
 ///
 /// With a SimNetwork, link capacity, failures and offline subscribers
 /// decide when (and whether) a message arrives. Without one, the wire is
@@ -111,13 +113,12 @@ class SimTransport : public Transport {
                         uint64_t bytes) const override;
 
  private:
-  /// Schedules one frame of `link_bytes` on the link to `endpoint` and,
-  /// at its completion time, decodes `wire` (a bundle frame when
-  /// `bundle`) and hands each message to the endpoint, firing the
-  /// matching callback in `dones`.
+  /// Schedules `link_bytes` on the link to `endpoint` and, at their
+  /// completion time, decodes `wire` with the socket's stream decoder and
+  /// hands each message to the endpoint, firing the matching callback in
+  /// `dones`. A decode error fails every callback.
   void Transmit(const std::string& endpoint, uint64_t link_bytes,
-                bool bundle, std::string wire,
-                std::vector<SendCallback> dones);
+                std::string wire, std::vector<SendCallback> dones);
 
   EventLoop* loop_;
   SimNetwork* network_;

@@ -21,10 +21,6 @@ void SimNetwork::SetLink(const std::string& subscriber, LinkSpec spec) {
   links_[subscriber].spec = spec;
 }
 
-bool SimNetwork::HasLink(const std::string& subscriber) const {
-  return links_.count(subscriber) != 0;
-}
-
 void SimNetwork::SetOnline(const std::string& subscriber, bool online) {
   auto it = links_.find(subscriber);
   if (it != links_.end()) it->second.online = online;

@@ -55,8 +55,6 @@ class SimNetwork {
   void AttachMetrics(MetricsRegistry* registry);
 
   void SetLink(const std::string& subscriber, LinkSpec spec);
-  /// True if the subscriber has a configured link (online or not).
-  bool HasLink(const std::string& subscriber) const;
 
   void SetOnline(const std::string& subscriber, bool online);
   bool IsOnline(const std::string& subscriber) const;

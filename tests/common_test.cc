@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: Status/Result, strings, time,
-// hashing, RNG, thread pool, blocking queue.
+// hashing, RNG, thread pool.
 
 #include <atomic>
 #include <string>
@@ -10,7 +10,6 @@
 #include "common/backoff.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/queue.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -347,49 +346,6 @@ TEST(ThreadPoolTest, RejectsAfterShutdown) {
   ThreadPool pool(2);
   pool.Shutdown();
   EXPECT_FALSE(pool.Submit([] {}));
-}
-
-// ---------------------------------------------------------------- Queue
-
-TEST(BlockingQueueTest, FifoOrder) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 2);
-  EXPECT_EQ(q.Pop(), 3);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(BlockingQueueTest, CloseUnblocksConsumers) {
-  BlockingQueue<int> q;
-  std::thread consumer([&] {
-    auto v = q.Pop();
-    EXPECT_FALSE(v.has_value());
-  });
-  q.Close();
-  consumer.join();
-  EXPECT_FALSE(q.Push(1));
-}
-
-TEST(BlockingQueueTest, ProducerConsumer) {
-  BlockingQueue<int> q;
-  std::atomic<long> sum{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 4; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = q.Pop()) sum += *v;
-    });
-  }
-  long expected = 0;
-  for (int i = 1; i <= 1000; ++i) {
-    q.Push(i);
-    expected += i;
-  }
-  q.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(sum.load(), expected);
 }
 
 // Delay sequences of the two schedules NextBackoff replaced — the

@@ -1,16 +1,12 @@
 // Focused tests for delivery-layer pieces not already covered by the
-// server integration suite: the feed monitor, poller-fleet source model,
-// archiver nodes and receipt-state disaster recovery.
+// server integration suite: the feed monitor and the poller-fleet source
+// model.
 
 #include <gtest/gtest.h>
 
-#include "common/strings.h"
 #include "core/monitor.h"
-#include "delivery/archiver.h"
-#include "kv/receipts.h"
 #include "pattern/pattern.h"
 #include "sim/sources.h"
-#include "vfs/memfs.h"
 
 namespace bistro {
 namespace {
@@ -179,76 +175,6 @@ TEST(CorpusGeneratorTest, TruthPatternsMatchGeneratedNames) {
     ASSERT_GE(l.truth, 0);
     EXPECT_TRUE(truth[l.truth].Matches(l.obs.name)) << l.obs.name;
   }
-}
-
-// ---------------------------------------------------------------- Archiver
-
-TEST(ArchiverTest, StoresFilesInDatedDirectories) {
-  InMemoryFileSystem fs;
-  ArchiverEndpoint archiver(&fs, "/archive");
-  Message msg;
-  msg.type = MessageType::kFileData;
-  msg.name = "CPU_POLL1_201009250400.txt";
-  msg.payload = "data";
-  msg.data_time = FromCivil(CivilTime{2010, 9, 25, 4, 0, 0});
-  ASSERT_TRUE(archiver.HandleMessage(msg).ok());
-  EXPECT_EQ(*fs.ReadFile("/archive/2010/09/25/CPU_POLL1_201009250400.txt"),
-            "data");
-  EXPECT_EQ(archiver.files_archived(), 1u);
-  EXPECT_EQ(archiver.bytes_archived(), 4u);
-  // No data_time: flat storage.
-  msg.data_time = 0;
-  msg.name = "static.cfg";
-  ASSERT_TRUE(archiver.HandleMessage(msg).ok());
-  EXPECT_TRUE(fs.Exists("/archive/static.cfg"));
-  // Non-file messages are ignored without error.
-  Message hb;
-  hb.type = MessageType::kHeartbeat;
-  ASSERT_TRUE(archiver.HandleMessage(hb).ok());
-  EXPECT_EQ(archiver.files_archived(), 2u);
-}
-
-TEST(ArchiverTest, ReceiptStateShipAndRestore) {
-  InMemoryFileSystem fs;
-  // Build a receipt database with some state.
-  {
-    auto db = ReceiptDatabase::Open(&fs, "/db");
-    ASSERT_TRUE(db.ok());
-    for (FileId id = 1; id <= 20; ++id) {
-      std::vector<ArrivalReceipt> group(1);
-      group[0].name = StrFormat("f%02llu.csv", (unsigned long long)id);
-      group[0].feeds = {"F"};
-      group[0].arrival_time = static_cast<TimePoint>(id);
-      ASSERT_TRUE((*db)->RecordArrivalGroup(&group).ok());
-      ASSERT_EQ(group[0].file_id, id);
-    }
-    ASSERT_TRUE((*db)->RecordDeliveryGroup({{"sub", 1, 100}}).ok());
-  }
-  ArchiverEndpoint archiver(&fs, "/archive");
-  auto shipped = ShipReceiptState(&fs, "/db", &archiver, "snap1");
-  ASSERT_TRUE(shipped.ok());
-  EXPECT_GT(*shipped, 0u);
-  EXPECT_EQ(archiver.receipt_snapshots(), 1u);
-
-  // Catastrophic loss of the server's database...
-  InMemoryFileSystem fresh;
-  ASSERT_TRUE(
-      RestoreReceiptState(&fs, archiver, "snap1", &fresh, "/db").ok());
-  auto db = ReceiptDatabase::Open(&fresh, "/db");
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->ArrivalCount(), 20u);
-  EXPECT_TRUE((*db)->Delivered("sub", 1));
-  EXPECT_FALSE((*db)->Delivered("sub", 2));
-  // The restored DB keeps working: delivery queues are computable.
-  EXPECT_EQ((*db)->ComputeDeliveryQueue("sub", {"F"}).size(), 19u);
-}
-
-TEST(ArchiverTest, RestoreMissingSnapshotFails) {
-  InMemoryFileSystem fs;
-  ArchiverEndpoint archiver(&fs, "/archive");
-  InMemoryFileSystem fresh;
-  EXPECT_FALSE(
-      RestoreReceiptState(&fs, archiver, "missing", &fresh, "/db").ok());
 }
 
 }  // namespace

@@ -482,34 +482,6 @@ TEST(EngineTest, ReceiptRetriesBackOffAndCommitOnceTheFaultClears) {
   EXPECT_EQ(sink.files_received(), 1u);
 }
 
-TEST(EngineTest, MaintenanceShipsReceiptSnapshotsToArchiver) {
-  Rig rig(kOneFeedOneSub);
-  InMemoryFileSystem sub_fs;
-  FileSinkEndpoint sink(&sub_fs, "/r");
-  rig.transport.Register("s", &sink);
-  InMemoryFileSystem archive_fs;
-  ArchiverEndpoint archiver(&archive_fs, "/vault");
-  rig.server->SetReceiptArchiver(&archiver);
-  ASSERT_TRUE(rig.server->Deposit("p", "CPU_POLL1_201009250400.txt", "x").ok());
-  rig.loop.RunUntil(rig.clock.Now() + kSecond);
-  rig.server->RunMaintenance();
-  rig.server->RunMaintenance();
-  EXPECT_EQ(archiver.receipt_snapshots(), 2u);
-  // The latest snapshot restores into a working database.
-  InMemoryFileSystem fresh;
-  ASSERT_TRUE(RestoreReceiptState(&archive_fs, archiver,
-                                  "receipts-0000000000000001", &fresh, "/db")
-                  .ok());
-  auto db = ReceiptDatabase::Open(&fresh, "/db");
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->ArrivalCount(), 1u);
-  EXPECT_TRUE((*db)->Delivered("s", 1));
-  // Detach: no more snapshots.
-  rig.server->SetReceiptArchiver(nullptr);
-  rig.server->RunMaintenance();
-  EXPECT_EQ(archiver.receipt_snapshots(), 2u);
-}
-
 TEST(EngineTest, NotifyMethodStillFeedsBatcher) {
   Rig rig(R"(
 feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt"; }

@@ -529,7 +529,6 @@ TEST_P(FrameFuzzTest, RandomBytesNeverCrashTheDecoders) {
     // Either outcome (ok or error) is acceptable; what matters is a clean
     // return on arbitrary bytes.
     (void)DecodeMessage(junk);
-    (void)DecodeBundle(junk);
     MessageStreamDecoder decoder;
     (void)decoder.Feed(junk);
   }
@@ -585,24 +584,6 @@ TEST(FrameHardeningTest, FrameOverConfiguredBoundPoisonsTheStream) {
   auto got = normal.Next();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, big);
-}
-
-TEST(FrameHardeningTest, HostileBundleCountIsRejectedBeforeAllocation) {
-  // Varint count of ~2^60 followed by almost no data: must be rejected
-  // without reserving 2^60 slots.
-  std::string hostile;
-  for (int i = 0; i < 8; ++i) hostile.push_back(static_cast<char>(0xFF));
-  hostile.push_back(0x0F);
-  hostile += "xx";
-  auto decoded = DecodeBundle(hostile);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_TRUE(decoded.status().IsCorruption());
-
-  // A count that is merely wrong (but small) still errors cleanly.
-  std::string wrong_count;
-  wrong_count.push_back(5);
-  auto few = DecodeBundle(wrong_count);
-  EXPECT_FALSE(few.ok());
 }
 
 TEST(FrameHardeningTest, TruncatedFramesWaitRatherThanError) {

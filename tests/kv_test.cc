@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "kv/kvstore.h"
 #include "kv/receipts.h"
 #include "kv/wal.h"
@@ -317,6 +318,65 @@ TEST(ReceiptsTest, ExpireBeforeRemovesReceiptsAndReportsPaths) {
   // The queue no longer offers the expired file.
   EXPECT_EQ((*db)->ComputeDeliveryQueue("s", {"F"}).size(), 1u);
 }
+
+// Expiry drops a file's delivery rows too: each subscriber's, and a
+// group member's catch-up row, whichever shard they live in.
+class ExpiryShardsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExpiryShardsTest, ExpiryDeletesDeliveryReceiptsOfExpiredFiles) {
+  InMemoryFileSystem fs;
+  const std::vector<SubscriberName> subs = {"alice", "bob", "grp~m1"};
+  {
+    auto db = ReceiptDatabase::Open(&fs, "/receipts", KvStore::Options(),
+                                    GetParam());
+    ASSERT_TRUE(db.ok());
+    for (FileId id = 1; id <= 10; ++id) {
+      ASSERT_EQ(Arrive(db->get(), "f" + std::to_string(id), {"F"},
+                       static_cast<TimePoint>(id) * kHour),
+                id);
+      for (const SubscriberName& sub : subs) {
+        ASSERT_TRUE(Deliver(db->get(), sub, id, 11 * kHour).ok());
+      }
+    }
+    // A delivery row whose file has no arrival receipt, as a crash between
+    // expiry's two passes leaves. A call with nothing due leaves it; the
+    // next call that expires a file collects it.
+    ASSERT_TRUE(Deliver(db->get(), "alice", 999, 11 * kHour).ok());
+    auto none = (*db)->ExpireBefore(kHour);
+    ASSERT_TRUE(none.ok());
+    EXPECT_TRUE(none->empty());
+    EXPECT_TRUE((*db)->Delivered("alice", 999));
+    auto expired = (*db)->ExpireBefore(5 * kHour + kHour / 2);
+    ASSERT_TRUE(expired.ok());
+    EXPECT_EQ(expired->size(), 5u);
+  }
+  // Cold reopen: the deletions are durable.
+  auto db = ReceiptDatabase::Open(&fs, "/receipts", KvStore::Options(),
+                                  GetParam());
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ((*db)->ArrivalCount(), 5u);
+  size_t rows = 0;
+  for (size_t shard = 0; shard < (*db)->shard_count(); ++shard) {
+    for (const auto& [key, value] : (*db)->kv(shard)->ScanPrefix("")) {
+      ++rows;
+      for (FileId id : {1, 2, 3, 4, 5, 999}) {
+        std::string hex = StrFormat("%016llx", (unsigned long long)id);
+        EXPECT_EQ(key.find(hex), std::string::npos) << key;
+      }
+    }
+  }
+  for (const SubscriberName& sub : subs) {
+    for (FileId id = 1; id <= 10; ++id) {
+      EXPECT_EQ((*db)->Delivered(sub, id), id > 5) << sub << " " << id;
+    }
+    EXPECT_TRUE((*db)->ComputeDeliveryQueue(sub, {"F"}).empty()) << sub;
+  }
+  // Per kept file: a/, f/ and n/ rows plus one delivery row per name;
+  // shard 0 also holds the id counter.
+  EXPECT_EQ(rows, 5 * (3 + subs.size()) + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ExpiryShardsTest, ::testing::Values(1, 4));
 
 TEST(ReceiptsTest, ReceiptsSurviveCrash) {
   InMemoryFileSystem fs;

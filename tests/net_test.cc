@@ -146,9 +146,6 @@ TEST(ProtocolTest, FramesAreByteIdenticalToGolden) {
   EXPECT_EQ(ToHex(EncodeMessage(GoldenAck())), kGoldenAckHex);
   std::string file_data = FromHex(kGoldenFileDataHex);
   std::string ack = FromHex(kGoldenAckHex);
-  EXPECT_EQ(EncodeBundle({GoldenFileData(), GoldenAck()}),
-            std::string("\x02", 1) + file_data + ack);
-  EXPECT_EQ(EncodeBundle({}), std::string("\x00", 1));
   EXPECT_EQ(EncodeMessageStream({GoldenAck(), GoldenFileData()}),
             ack + file_data);
   // Appending in place writes the same frame after existing bytes.
@@ -649,6 +646,32 @@ TEST(SocketTransportTest, QueueCapRejectsOversizedBacklog) {
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.IsUnavailable()) << result;
   EXPECT_NE(result.message().find("queue"), std::string::npos) << result;
+
+  // A bundle is capped as one burst: a one-item bundle of the same frame,
+  // and two items that fit alone but not together, fail every item.
+  Message half = SampleMessage();
+  half.payload = std::string(3000, 'y');
+  for (const std::vector<Message>& msgs :
+       {std::vector<Message>{big}, std::vector<Message>{half, half}}) {
+    std::vector<BundleItem> items;
+    std::vector<Status> results;
+    for (const Message& msg : msgs) {
+      items.push_back(BundleItem{
+          msg, [&](const Status& s) { results.push_back(s); }});
+    }
+    client.SendBundle("srv", std::move(items));
+    PumpUntil(&loop, [&] { return results.size() == msgs.size(); });
+    ASSERT_EQ(results.size(), msgs.size());
+    for (const Status& s : results) {
+      EXPECT_TRUE(s.IsUnavailable()) << s;
+      EXPECT_NE(s.message().find("queue"), std::string::npos) << s;
+    }
+  }
+  // Nothing refused was queued, and a frame under the cap still queues.
+  EXPECT_EQ(client.GetPeerStats("srv").queued_bytes, 0u);
+  client.Send("srv", half, [](const Status&) {});
+  EXPECT_GT(client.GetPeerStats("srv").queued_bytes, 0u);
+  EXPECT_EQ(client.GetPeerStats("srv").pending_acks, 1u);
 }
 
 TEST(SocketTransportTest, AckTimeoutFailsSendAndDropsConnection) {
