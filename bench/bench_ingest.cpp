@@ -178,7 +178,7 @@ RunResult RunOne(int workers, size_t batch, int num_files,
   if (!config->plans.empty()) {
     plans = std::make_unique<PlanRuntime>(config->plans, registry->get(),
                                           PlanContextFromConfig(*config));
-    if (!plans->Validate().ok()) std::abort();
+    if (!plans->Rebuild().ok()) std::abort();
   }
 
   IngestPipeline::Options opts;

@@ -264,7 +264,6 @@ Result<std::shared_ptr<const FeedAutomaton>> FeedAutomaton::Compile(
   auto t0 = std::chrono::steady_clock::now();
   auto automaton = std::shared_ptr<FeedAutomaton>(new FeedAutomaton());
   FeedAutomaton& a = *automaton;
-  a.version_ = registry.version();
 
   // Snapshot-owned copies of the table: feed names and compiled patterns
   // in registry order, primary before alternates. Global pattern ids are

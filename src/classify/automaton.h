@@ -155,9 +155,6 @@ class FeedAutomaton {
   const FeedName& feed_name(uint32_t idx) const { return feed_names_[idx]; }
   size_t feed_count() const { return feed_names_.size(); }
 
-  /// Registry version this automaton was compiled at.
-  uint64_t version() const { return version_; }
-
   const AutomatonStats& stats() const { return stats_; }
 
   /// FNV-1a digest of the compiled tables: states, ranges, dense rows and
@@ -217,7 +214,6 @@ class FeedAutomaton {
   /// Snapshot-owned copies (see class comment on self-containment).
   std::vector<Pattern> patterns_;
   std::vector<FeedName> feed_names_;
-  uint64_t version_ = 0;
   AutomatonStats stats_;
 };
 

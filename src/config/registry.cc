@@ -109,21 +109,6 @@ const SubscriberSpec* FeedRegistry::FindSubscriber(
   return nullptr;
 }
 
-std::vector<const SubscriberSpec*> FeedRegistry::SubscribersOf(
-    const FeedName& feed) const {
-  ++subscriber_scans_;
-  std::vector<const SubscriberSpec*> out;
-  for (const auto& sub : subscribers_) {
-    for (const auto& interest : sub.feeds) {
-      if (interest == feed || IsPrefixGroup(interest, feed)) {
-        out.push_back(&sub);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 Status FeedRegistry::UpdateFeed(const FeedSpec& spec,
                                 const std::function<Status()>& check) {
   BISTRO_ASSIGN_OR_RETURN(RegisteredFeed feed, CompileFeed(spec));
@@ -135,7 +120,6 @@ Status FeedRegistry::UpdateFeed(const FeedSpec& spec,
   } else {
     it = feeds_.emplace(spec.name, std::move(feed)).first;
   }
-  ++version_;
   Status status = check ? check() : Status::OK();
   if (!status.ok()) {
     if (previous) {
@@ -143,7 +127,6 @@ Status FeedRegistry::UpdateFeed(const FeedSpec& spec,
     } else {
       feeds_.erase(it);
     }
-    --version_;
   }
   return status;
 }
@@ -158,7 +141,6 @@ Status FeedRegistry::AddSubscriber(const SubscriberSpec& spec) {
     }
   }
   subscribers_.push_back(spec);
-  ++version_;
   return Status::OK();
 }
 
@@ -171,7 +153,6 @@ Status FeedRegistry::UpdateSubscriber(const SubscriberSpec& spec) {
   for (auto& sub : subscribers_) {
     if (sub.name == spec.name) {
       sub = spec;
-      ++version_;
       return Status::OK();
     }
   }

@@ -36,6 +36,9 @@ struct RegisteredFeed {
 /// Feed definitions can be revised at runtime (paper §4.2: "a feed
 /// definition can be revised at any moment"); UpdateFeed replaces a spec
 /// in place, and the delivery layer recomputes queues from receipts.
+/// A running server's registry changes only through BistroServer's
+/// AddSubscriber, UpdateSubscriber and ReviseFeed, which rebuild the
+/// tables derived from what they changed in the same call.
 class FeedRegistry {
  public:
   /// Builds a registry from a parsed config. Rejects duplicate feed or
@@ -62,32 +65,13 @@ class FeedRegistry {
   const std::vector<SubscriberSpec>& subscribers() const { return subscribers_; }
   const SubscriberSpec* FindSubscriber(const SubscriberName& name) const;
 
-  /// Subscribers whose interest set covers `feed`.
-  ///
-  /// This is a full scan over subscribers × interests — O(fanout) per
-  /// call. Hot paths go through fanout::SubscriptionIndex instead; the
-  /// scan counter below is the regression probe proving they do.
-  std::vector<const SubscriberSpec*> SubscribersOf(const FeedName& feed) const;
-
-  /// Number of SubscribersOf full scans ever performed. Delivery,
-  /// backfill and refresh must leave this untouched once the
-  /// subscription index is wired (asserted by fanout tests).
-  uint64_t subscriber_scans() const { return subscriber_scans_; }
-
-  /// Monotone mutation counter: bumped by every UpdateFeed /
-  /// AddSubscriber / UpdateSubscriber (an UpdateFeed whose check fails
-  /// leaves it unchanged). Derived structures (the
-  /// subscription index) compare it to rebuild lazily instead of
-  /// hooking every mutation site.
-  uint64_t version() const { return version_; }
-
   /// Adds or replaces a feed definition (analyzer-approved revision).
   /// `check`, if given, runs on the revised registry before the revision
-  /// stands; if it fails, the previous definition and version() are
-  /// restored and its error returned. The version is reused, so the
-  /// caller must keep every other reader of the registry out while
-  /// `check` runs (BistroServer::ReviseFeed holds the ingest pipeline's
-  /// definitions lock and rebuilds the classifier in `check`).
+  /// stands; if it fails, the previous definition is restored and its
+  /// error returned. The caller keeps every other reader of the registry
+  /// out while `check` runs (BistroServer::ReviseFeed holds the ingest
+  /// pipeline's definitions lock and rebuilds the tables compiled from
+  /// feed definitions in `check`).
   Status UpdateFeed(const FeedSpec& spec,
                     const std::function<Status()>& check = {});
 
@@ -106,8 +90,6 @@ class FeedRegistry {
 
   std::map<FeedName, RegisteredFeed> feeds_;
   std::vector<SubscriberSpec> subscribers_;
-  uint64_t version_ = 0;
-  mutable uint64_t subscriber_scans_ = 0;
 };
 
 }  // namespace bistro

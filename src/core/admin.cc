@@ -185,10 +185,8 @@ std::string RenderClassifier(BistroServer* server) {
   std::shared_ptr<const FeedAutomaton> automaton = classifier->automaton();
   if (automaton != nullptr) {
     const AutomatonStats& a = automaton->stats();
-    out += StrFormat(
-        "automaton: %zu pattern(s) over %zu feed(s), registry version %llu\n",
-        a.patterns, automaton->feed_count(),
-        (unsigned long long)automaton->version());
+    out += StrFormat("automaton: %zu pattern(s) over %zu feed(s)\n",
+                     a.patterns, automaton->feed_count());
     out += StrFormat("  dfa states: %zu (%zu dense, %zu sparse rows)\n",
                      a.dfa_states, a.dense_rows, a.sparse_rows);
     out += StrFormat("  accept sets: %zu\n", a.accept_sets);
@@ -207,12 +205,8 @@ std::string RenderPlans(BistroServer* server) {
   std::shared_ptr<const CompiledPlans> snap = plans->snapshot();
   PlanStats stats = plans->stats();
   std::string out = "=== Ingestion plans ===\n";
-  out += StrFormat(
-      "governed feeds: %zu (registry version %llu, %llu rebuild(s), "
-      "%llu rebuild error(s))\n",
-      stats.governed_feeds, (unsigned long long)stats.snapshot_version,
-      (unsigned long long)stats.rebuilds,
-      (unsigned long long)stats.rebuild_errors);
+  out += StrFormat("governed feeds: %zu (%llu rebuild(s))\n",
+                   stats.governed_feeds, (unsigned long long)stats.rebuilds);
   if (snap != nullptr) {
     for (const auto& [feed, fp] : snap->feeds) {
       out += StrFormat("  %-24s (plan %s)\n", feed.c_str(),

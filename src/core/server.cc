@@ -68,9 +68,9 @@ Result<std::unique_ptr<BistroServer>> BistroServer::Create(
   if (!config.plans.empty()) {
     server->plans_ = std::make_unique<PlanRuntime>(
         config.plans, server->registry_.get(), PlanContextFromConfig(config));
-    BISTRO_RETURN_IF_ERROR(
-        server->plans_->Validate().WithContext("ingestion plans"));
     server->plans_->AttachMetrics(server->metrics_);
+    BISTRO_RETURN_IF_ERROR(
+        server->plans_->Rebuild().WithContext("ingestion plans"));
   }
   // Config-file delivery tuning overrides the compiled-in defaults (but
   // not the other way around: unset keys leave Options untouched).
@@ -307,17 +307,34 @@ void BistroServer::SourceEndOfBatch(const FeedName& feed,
 
 Status BistroServer::AddSubscriber(const SubscriberSpec& spec) {
   BISTRO_RETURN_IF_ERROR(registry_->AddSubscriber(spec));
+  delivery_->subscription_index()->Rebuild();
   logger_->Info("admin", "subscriber added: " + spec.name);
   delivery_->Backfill(spec.name);
   return Status::OK();
 }
 
+Status BistroServer::UpdateSubscriber(const SubscriberSpec& spec) {
+  BISTRO_RETURN_IF_ERROR(registry_->UpdateSubscriber(spec));
+  delivery_->subscription_index()->Rebuild();
+  return Status::OK();
+}
+
 Status BistroServer::ReviseFeed(const FeedSpec& spec) {
-  // The classifier recompiles before the revision stands: a definition
-  // that breaks the compile budget is refused, and the previous
-  // definition and table stay in place.
+  // Plans compile before the classifier, so a plan failure leaves both
+  // tables untouched; a classifier failure puts the old plan table back.
+  std::shared_ptr<const CompiledPlans> plans_before =
+      plans_ != nullptr ? plans_->snapshot() : nullptr;
   BISTRO_RETURN_IF_ERROR(pipeline_->ReviseDefinitions([&] {
-    return registry_->UpdateFeed(spec, [&] { return classifier_->Rebuild(); });
+    return registry_->UpdateFeed(spec, [&]() -> Status {
+      if (plans_ != nullptr) BISTRO_RETURN_IF_ERROR(plans_->Rebuild());
+      Status compiled = classifier_->Rebuild();
+      if (!compiled.ok()) {
+        if (plans_ != nullptr) plans_->Publish(std::move(plans_before));
+        return compiled;
+      }
+      delivery_->subscription_index()->Rebuild();
+      return Status::OK();
+    });
   }));
   logger_->Info("admin", "feed definition revised: " + spec.name);
   WarnResidualFeeds();

@@ -109,12 +109,24 @@ class BistroServer : public Endpoint {
 
   // ------------------------------------------------------------ Admin
 
+  // These three are the only calls that change a running server's
+  // registry. Each rebuilds, before it returns, the tables derived from
+  // what it changed.
+
   /// Registers a new subscriber and backfills available history (§4.2).
   Status AddSubscriber(const SubscriberSpec& spec);
+
+  /// Replaces an existing subscriber's spec (federation failover moves a
+  /// peer's feeds onto its replica and back). Files staged from now on
+  /// follow the new interest set; nothing is backfilled.
+  Status UpdateSubscriber(const SubscriberSpec& spec);
 
   /// Replaces a feed definition; files already received that match the
   /// *new* definition are re-offered to subscribers via queue
   /// recomputation (§4.2). (Reclassification applies to new arrivals.)
+  /// The classifier and the plan table are recompiled first: if either
+  /// refuses the revision, its error is returned and the registry, the
+  /// classifier's table and the plan table stay as they were.
   Status ReviseFeed(const FeedSpec& spec);
 
   /// Hybrid push-pull retrieval (§4.1): a subscriber that received a
@@ -140,7 +152,8 @@ class BistroServer : public Endpoint {
   MetricsRegistry* metrics() const { return metrics_; }
   /// Per-file pipeline lifecycle tracer.
   FileTracer* tracer() const { return tracer_.get(); }
-  FeedRegistry* registry() { return registry_.get(); }
+  /// Read-only: changes go through the three calls above.
+  const FeedRegistry* registry() const { return registry_.get(); }
   ReceiptDatabase* receipts() { return receipts_.get(); }
   FeedMonitor* monitor() { return &monitor_; }
   FeedClassifier* classifier() { return classifier_.get(); }

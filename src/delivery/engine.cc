@@ -9,7 +9,7 @@
 
 namespace bistro {
 
-DeliveryEngine::DeliveryEngine(EventLoop* loop, FeedRegistry* registry,
+DeliveryEngine::DeliveryEngine(EventLoop* loop, const FeedRegistry* registry,
                                ReceiptDatabase* receipts,
                                FileSystem* staging_fs, Transport* transport,
                                DeliveryScheduler* scheduler,
@@ -164,9 +164,7 @@ void DeliveryEngine::SubmitStagedFile(const StagedFile& file) {
     tracer_->Mark(file.id, PipelineStage::kSchedule, loop_->Now());
   }
   for (const FeedName& feed : file.feeds) {
-    const RegisteredFeed* rf = registry_->FindFeed(feed);
-    Duration tardiness = rf != nullptr ? rf->spec.tardiness : kDefaultTardiness;
-    if (plans_ != nullptr) tardiness = plans_->TardinessFor(feed, tardiness);
+    const Duration tardiness = TardinessFor(feed);
     for (const SubscriberSpec* sub : index_.PostingsFor(feed)) {
       if (plans_ != nullptr &&
           !plans_->AllowsDelivery(feed, file.name, sub->name)) {
@@ -180,23 +178,39 @@ void DeliveryEngine::SubmitStagedFile(const StagedFile& file) {
         parked_->Increment();
         continue;
       }
-      TransferJob job;
-      job.file_id = file.id;
-      job.subscriber = sub->name;
-      job.feed = feed;
-      job.name = file.name;
-      job.staged_path = file.staged_path;
-      job.dest_path = file.rel_path.empty() ? file.name : file.rel_path;
-      job.size = file.size;
-      job.arrival_time = file.arrival_time;
-      job.data_time = file.data_time;
-      job.deadline = file.arrival_time + tardiness;
-      InsertPending(key);
-      jobs_submitted_->Increment();
-      scheduler_->Submit(std::move(job));
+      SubmitJob(file, file.id, sub->name, feed, tardiness, /*backfill=*/false);
     }
   }
   Pump();
+}
+
+Duration DeliveryEngine::TardinessFor(const FeedName& feed) const {
+  const RegisteredFeed* rf = registry_->FindFeed(feed);
+  Duration tardiness = rf != nullptr ? rf->spec.tardiness : kDefaultTardiness;
+  return plans_ != nullptr ? plans_->TardinessFor(feed, tardiness) : tardiness;
+}
+
+template <typename File>
+void DeliveryEngine::SubmitJob(const File& file, FileId id,
+                               const SubscriberName& subscriber,
+                               const FeedName& feed, Duration tardiness,
+                               bool backfill) {
+  TransferJob job;
+  job.file_id = id;
+  job.subscriber = subscriber;
+  job.feed = feed;
+  job.name = file.name;
+  job.staged_path = file.staged_path;
+  job.dest_path = file.rel_path.empty() ? file.name : file.rel_path;
+  job.size = file.size;
+  job.arrival_time = file.arrival_time;
+  job.data_time = file.data_time;
+  job.deadline = file.arrival_time + tardiness;
+  job.backfill = backfill;
+  InsertPending({id, subscriber});
+  jobs_submitted_->Increment();
+  if (backfill) backfilled_->Increment();
+  scheduler_->Submit(std::move(job));
 }
 
 void DeliveryEngine::Pump() {
@@ -536,41 +550,27 @@ void DeliveryEngine::SubmitJobsFor(const SubscriberSpec& sub,
       break;
     }
     if (feed.empty()) continue;
-    const RegisteredFeed* rf = registry_->FindFeed(feed);
-    Duration tardiness = rf != nullptr ? rf->spec.tardiness : kDefaultTardiness;
-    if (plans_ != nullptr) tardiness = plans_->TardinessFor(feed, tardiness);
-    TransferJob job;
-    job.file_id = receipt.file_id;
-    job.subscriber = sub.name;
-    job.feed = feed;
-    job.name = receipt.name;
-    job.staged_path = receipt.staged_path;
-    job.dest_path = receipt.rel_path.empty() ? receipt.name : receipt.rel_path;
-    job.size = receipt.size;
-    job.arrival_time = receipt.arrival_time;
-    job.data_time = receipt.data_time;
-    job.deadline = receipt.arrival_time + tardiness;
-    job.backfill = backfill;
-    InsertPending(key);
-    jobs_submitted_->Increment();
-    if (backfill) backfilled_->Increment();
-    scheduler_->Submit(std::move(job));
+    SubmitJob(receipt, receipt.file_id, sub.name, feed, TardinessFor(feed),
+              backfill);
   }
   Pump();
+}
+
+std::vector<ArrivalReceipt> DeliveryEngine::UndeliveredTo(
+    const SubscriberSpec& sub) {
+  // Buffered receipts are deliveries that already happened; commit them
+  // first so the recomputed queue does not resubmit those files.
+  FlushDeliveryReceipts();
+  TimePoint window_start = sub.window > 0 ? loop_->Now() - sub.window : 0;
+  if (window_start < 0) window_start = 0;
+  return receipts_->ComputeDeliveryQueue(
+      sub.name, registry_->SubscribedFeeds(sub), window_start);
 }
 
 void DeliveryEngine::Backfill(const SubscriberName& sub_name) {
   const SubscriberSpec* sub = registry_->FindSubscriber(sub_name);
   if (sub == nullptr || offline_.count(sub_name) != 0) return;
-  // Buffered receipts are deliveries that already happened; commit them
-  // first so the recomputed queue does not resubmit those files.
-  FlushDeliveryReceipts();
-  auto feeds = registry_->SubscribedFeeds(*sub);
-  TimePoint window_start =
-      sub->window > 0 ? loop_->Now() - sub->window : 0;
-  if (window_start < 0) window_start = 0;
-  auto queue = receipts_->ComputeDeliveryQueue(sub_name, feeds, window_start);
-  SubmitJobsFor(*sub, queue, /*backfill=*/true);
+  SubmitJobsFor(*sub, UndeliveredTo(*sub), /*backfill=*/true);
 }
 
 void DeliveryEngine::BackfillFeed(const FeedName& feed) {
@@ -589,12 +589,7 @@ void DeliveryEngine::RerouteUndelivered(const SubscriberName& from,
   const SubscriberSpec* to_sub = registry_->FindSubscriber(to);
   if (from_sub == nullptr || to_sub == nullptr) return;
   if (offline_.count(to) != 0) return;  // the replica is down too
-  FlushDeliveryReceipts();
-  auto feeds = registry_->SubscribedFeeds(*from_sub);
-  TimePoint window_start =
-      from_sub->window > 0 ? loop_->Now() - from_sub->window : 0;
-  if (window_start < 0) window_start = 0;
-  auto queue = receipts_->ComputeDeliveryQueue(from, feeds, window_start);
+  std::vector<ArrivalReceipt> queue = UndeliveredTo(*from_sub);
   // Files the replica already holds would only waste wire bytes (the
   // downstream dedupe absorbs them regardless); skip them here.
   std::vector<ArrivalReceipt> missing;

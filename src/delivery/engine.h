@@ -120,7 +120,7 @@ class DeliveryEngine {
   /// `metrics` may be null (the engine then owns a private registry so
   /// counters always exist); `tracer` may be null (lifecycle marks are
   /// skipped).
-  DeliveryEngine(EventLoop* loop, FeedRegistry* registry,
+  DeliveryEngine(EventLoop* loop, const FeedRegistry* registry,
                  ReceiptDatabase* receipts, FileSystem* staging_fs,
                  Transport* transport, DeliveryScheduler* scheduler,
                  TriggerInvoker* invoker, Logger* logger,
@@ -184,7 +184,8 @@ class DeliveryEngine {
   void RedriveDeadLetters();
 
   /// The per-feed subscription index the hot paths resolve fan-out
-  /// through (exposed for startup backfill and tests).
+  /// through. Whoever changes the registry's subscribers or feeds
+  /// rebuilds it (BistroServer).
   fanout::SubscriptionIndex* subscription_index() { return &index_; }
 
  private:
@@ -229,15 +230,26 @@ class DeliveryEngine {
   void SubmitJobsFor(const SubscriberSpec& sub,
                      const std::vector<ArrivalReceipt>& receipts,
                      bool backfill);
+  /// `feed`'s delivery deadline bound: its tardiness, scaled by its plan.
+  Duration TardinessFor(const FeedName& feed) const;
+  /// Queues one delivery job for `file` — a StagedFile or its
+  /// ArrivalReceipt, whose fields match but for the id, passed as `id` —
+  /// on `feed` to `subscriber`, due `tardiness` after the file's arrival.
+  template <typename File>
+  void SubmitJob(const File& file, FileId id, const SubscriberName& subscriber,
+                 const FeedName& feed, Duration tardiness, bool backfill);
+  /// Commits buffered delivery receipts, then recomputes the files in
+  /// `sub`'s feeds and history window it holds no delivery receipt for.
+  std::vector<ArrivalReceipt> UndeliveredTo(const SubscriberSpec& sub);
   /// pending_ bookkeeping: inserts/erases keep the size-capped order
   /// queue and the depth gauge in step with the set.
   void InsertPending(const std::pair<FileId, SubscriberName>& key);
   void ErasePending(const std::pair<FileId, SubscriberName>& key);
 
   EventLoop* loop_;
-  FeedRegistry* registry_;
-  /// Inverted feed -> subscribers index; replaces SubscribersOf scans on
-  /// the delivery, punctuation and backfill paths.
+  const FeedRegistry* registry_;
+  /// Inverted feed -> subscribers index: the one feed -> subscribers
+  /// lookup of the delivery, punctuation and backfill paths.
   fanout::SubscriptionIndex index_;
   ReceiptDatabase* receipts_;
   FileSystem* staging_fs_;

@@ -5,6 +5,11 @@
 namespace bistro {
 namespace fanout {
 
+SubscriptionIndex::SubscriptionIndex(const FeedRegistry* registry)
+    : registry_(registry) {
+  Rebuild();
+}
+
 void SubscriptionIndex::AttachMetrics(MetricsRegistry* registry) {
   m_rebuilds_ = registry->GetCounter("bistro_fanout_index_rebuilds_total",
                                      "Subscription index rebuilds");
@@ -12,18 +17,19 @@ void SubscriptionIndex::AttachMetrics(MetricsRegistry* registry) {
                                     "Subscription index postings lookups");
   m_postings_ = registry->GetGauge("bistro_fanout_index_postings",
                                    "Total (feed, subscriber) postings");
+  // The builds before this call (the constructor's) count here.
+  m_rebuilds_->Increment(rebuilds_);
+  m_postings_->Set(postings_total_);
 }
 
-void SubscriptionIndex::MaybeRebuild() {
-  if (built_ && built_version_ == registry_->version()) return;
+void SubscriptionIndex::Rebuild() {
   postings_.clear();
   active_.clear();
-  size_t total = 0;
+  postings_total_ = 0;
   std::set<SubscriberName> active_set;
   for (const SubscriberSpec& sub : registry_->subscribers()) {
     // One posting per concrete feed, even when several interests (an
-    // exact name plus a covering group prefix) expand to the same feed —
-    // mirroring SubscribersOf's first-match-wins contract.
+    // exact name plus a covering group prefix) expand to the same feed.
     std::set<FeedName> covered;
     for (const FeedName& interest : sub.feeds) {
       for (FeedName& feed : registry_->Expand(interest)) {
@@ -32,30 +38,22 @@ void SubscriptionIndex::MaybeRebuild() {
     }
     for (const FeedName& feed : covered) {
       postings_[feed].push_back(&sub);
-      ++total;
+      ++postings_total_;
     }
     if (!covered.empty()) active_set.insert(sub.name);
   }
   active_.assign(active_set.begin(), active_set.end());
-  built_ = true;
-  built_version_ = registry_->version();
   ++rebuilds_;
   if (m_rebuilds_ != nullptr) m_rebuilds_->Increment();
-  if (m_postings_ != nullptr) m_postings_->Set(static_cast<int64_t>(total));
+  if (m_postings_ != nullptr) m_postings_->Set(postings_total_);
 }
 
 const std::vector<const SubscriberSpec*>& SubscriptionIndex::PostingsFor(
     const FeedName& feed) {
-  MaybeRebuild();
   ++lookups_;
   if (m_lookups_ != nullptr) m_lookups_->Increment();
   auto it = postings_.find(feed);
   return it == postings_.end() ? empty_ : it->second;
-}
-
-const std::vector<SubscriberName>& SubscriptionIndex::ActiveSubscribers() {
-  MaybeRebuild();
-  return active_;
 }
 
 }  // namespace fanout

@@ -13,35 +13,34 @@ namespace fanout {
 
 /// Per-feed subscription postings: feed -> the subscribers (individuals,
 /// groups, peers — anything registered) whose interest set covers it.
+/// The index inverts the interest sets once, so each lookup on the
+/// staged-file, punctuation and backfill paths is O(postings for that
+/// feed), not a scan over subscribers × interests.
 ///
-/// The seed resolved fan-out with FeedRegistry::SubscribersOf, a full
-/// scan over subscribers × interests on EVERY staged file, punctuation
-/// and feed backfill — O(fanout) work per event even when one feed has
-/// two subscribers. The index inverts the interest sets once and makes
-/// each lookup O(postings for that feed).
-///
-/// Rebuilds are lazy: the registry bumps a version counter on every
-/// mutation (feed revision, subscriber add/update) and the index
-/// compares it per lookup. Config mutations are rare and human-scale;
-/// file arrivals are not. Returned pointers alias the registry's
-/// subscriber storage and are valid until its next mutation — consume
-/// them immediately, never cache across events.
+/// Rebuilds are explicit: whoever changes the registry's subscribers or
+/// feeds calls Rebuild in the same call (BistroServer's AddSubscriber,
+/// UpdateSubscriber and ReviseFeed). Returned pointers alias the
+/// registry's subscriber storage and are valid until its next mutation —
+/// consume them immediately, never cache across events.
 class SubscriptionIndex {
  public:
-  explicit SubscriptionIndex(const FeedRegistry* registry)
-      : registry_(registry) {}
+  /// Builds the index from the registry as it stands.
+  explicit SubscriptionIndex(const FeedRegistry* registry);
 
-  /// Subscribers covering `feed`, in registration order (matching what
-  /// SubscribersOf would return). Unknown feeds yield an empty list.
+  /// Re-inverts the registry's interest sets (after a subscriber or feed
+  /// change).
+  void Rebuild();
+
+  /// Subscribers covering `feed`, in registration order, each once even
+  /// when several of its interests cover the feed. Unknown feeds yield an
+  /// empty list.
   const std::vector<const SubscriberSpec*>& PostingsFor(const FeedName& feed);
 
   /// Names of subscribers holding at least one posting, name-ordered.
   /// Startup backfill iterates this instead of the raw subscriber list.
-  const std::vector<SubscriberName>& ActiveSubscribers();
-
-  /// Forces a rebuild on next lookup regardless of the version counter
-  /// (tests; callers that mutate specs in place behind the registry).
-  void Invalidate() { built_ = false; }
+  const std::vector<SubscriberName>& ActiveSubscribers() const {
+    return active_;
+  }
 
   uint64_t lookups() const { return lookups_; }
   uint64_t rebuilds() const { return rebuilds_; }
@@ -50,13 +49,10 @@ class SubscriptionIndex {
   void AttachMetrics(MetricsRegistry* registry);
 
  private:
-  void MaybeRebuild();
-
   const FeedRegistry* registry_;
-  bool built_ = false;
-  uint64_t built_version_ = 0;
   uint64_t lookups_ = 0;
   uint64_t rebuilds_ = 0;
+  int64_t postings_total_ = 0;
   std::map<FeedName, std::vector<const SubscriberSpec*>> postings_;
   std::vector<SubscriberName> active_;
   std::vector<const SubscriberSpec*> empty_;

@@ -295,7 +295,7 @@ void FederationRuntime::ActivateFailover(const std::string& primary,
 
   Status status;
   if (server_->registry()->FindSubscriber(replica) != nullptr) {
-    status = server_->registry()->UpdateSubscriber(spec);
+    status = server_->UpdateSubscriber(spec);
   } else {
     // A pure standby (no feeds of its own) was never registered as a
     // subscriber by WirePeers; registering it now also backfills.
@@ -335,7 +335,7 @@ void FederationRuntime::DeactivateFailover(const std::string& primary,
   auto wit = windows_.find(replica);
   spec.window = wit != windows_.end() ? wit->second : 0;
 
-  Status status = server_->registry()->UpdateSubscriber(spec);
+  Status status = server_->UpdateSubscriber(spec);
   if (!status.ok() && logger_ != nullptr) {
     logger_->Error("federation", "failback " + primary + " <- " + replica +
                                      " failed: " + status.message());

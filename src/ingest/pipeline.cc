@@ -145,8 +145,8 @@ bool IngestPipeline::AdmitByPlan(const IncomingFile& file, Classification* c) {
   if (plans_ == nullptr) return true;
   PlanRuntime::ArrivalDecision decision;
   {
-    // Shared: the plan hook reads the registry (lazy rebuild, primary
-    // match refresh), the same reads the worker stage protects this way.
+    // Shared: the plan hook reads the registry (primary match refresh),
+    // the same reads the worker stage protects this way.
     std::shared_lock<std::shared_mutex> lock(defs_mu_);
     decision = plans_->FilterArrival(file, clock_->Now(), c);
   }

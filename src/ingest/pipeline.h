@@ -172,10 +172,10 @@ class IngestPipeline {
   /// files already in the receipt queue are still committed.
   void Shutdown();
 
-  /// Runs `revise` — a feed-definition change plus the classifier rebuild
-  /// it needs — under the pipeline's definitions lock, held exclusively:
-  /// a revision must not race in-flight classification/normalization.
-  /// Returns what `revise` returns.
+  /// Runs `revise` — a feed-definition change plus the classifier and
+  /// plan-table rebuilds it needs — under the pipeline's definitions
+  /// lock, held exclusively: a revision must not race in-flight
+  /// classification/normalization. Returns what `revise` returns.
   Status ReviseDefinitions(const std::function<Status()>& revise);
 
   bool threaded() const { return options_.workers > 0; }

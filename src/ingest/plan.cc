@@ -112,7 +112,6 @@ Result<std::shared_ptr<const CompiledPlans>> CompilePlans(
   const std::set<std::string> targets(context.delivery_targets.begin(),
                                       context.delivery_targets.end());
   auto compiled = std::make_shared<CompiledPlans>();
-  compiled->registry_version = registry.version();
 
   // Validate every block against the registry and the delivery namespace.
   struct Covered {
@@ -178,7 +177,7 @@ Result<std::shared_ptr<const CompiledPlans>> CompilePlans(
     if (plan.quota_files || plan.quota_bytes) {
       // One bucket per plan block: a group-prefix quota is a single
       // budget shared by the whole subtree. Buckets persist across
-      // recompilations so a registry bump never refunds tokens.
+      // recompilations so a feed revision never refunds tokens.
       if (buckets) {
         std::shared_ptr<QuotaBucket>& slot = (*buckets)[plan.feed];
         if (!slot) {
@@ -254,9 +253,6 @@ void PlanRuntime::AttachMetrics(MetricsRegistry* registry) {
   rebuilds_ = registry->GetCounter(
       "bistro_plan_rebuilds_total",
       "Plan table compilations (initial compile included)");
-  rebuild_errors_ = registry->GetCounter(
-      "bistro_plan_rebuild_errors_total",
-      "Plan recompilations that failed (stale table kept serving)");
   quota_shed_ = registry->GetCounter(
       "bistro_plan_quota_shed_total",
       "Feed admissions refused by a plan quota (file deferred to rescan)");
@@ -280,34 +276,22 @@ void PlanRuntime::AttachMetrics(MetricsRegistry* registry) {
       "Feeds currently governed by an ingestion plan");
 }
 
-Status PlanRuntime::Validate() {
-  std::lock_guard<std::mutex> lock(mu_);
+Status PlanRuntime::Rebuild() {
   auto result = CompilePlans(plans_, *registry_, context_, &buckets_);
   if (!result.ok()) return result.status();
-  snap_ = std::move(result).value();
+  Publish(std::move(result).value());
   rebuilds_->Increment();
-  governed_gauge_->Set(static_cast<int64_t>(snap_->feeds.size()));
   return Status::OK();
 }
 
-std::shared_ptr<const CompiledPlans> PlanRuntime::snapshot() {
+void PlanRuntime::Publish(std::shared_ptr<const CompiledPlans> snap) {
+  governed_gauge_->Set(static_cast<int64_t>(snap->feeds.size()));
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t version = registry_->version();
-  if ((!snap_ || snap_->registry_version != version) &&
-      failed_version_ != version) {
-    auto result = CompilePlans(plans_, *registry_, context_, &buckets_);
-    if (result.ok()) {
-      snap_ = std::move(result).value();
-      failed_version_.reset();
-      rebuilds_->Increment();
-      governed_gauge_->Set(static_cast<int64_t>(snap_->feeds.size()));
-    } else {
-      // Keep serving the previous table (stale but internally consistent)
-      // and remember the broken version so we do not recompile per call.
-      failed_version_ = version;
-      rebuild_errors_->Increment();
-    }
-  }
+  snap_ = std::move(snap);
+}
+
+std::shared_ptr<const CompiledPlans> PlanRuntime::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
   return snap_;
 }
 
@@ -425,13 +409,9 @@ PlanStats PlanRuntime::stats() {
   PlanStats s;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (snap_) {
-      s.governed_feeds = snap_->feeds.size();
-      s.snapshot_version = snap_->registry_version;
-    }
+    if (snap_) s.governed_feeds = snap_->feeds.size();
   }
   s.rebuilds = rebuilds_->value();
-  s.rebuild_errors = rebuild_errors_->value();
   s.quota_shed = quota_shed_->value();
   s.sampled_out = sampled_out_->value();
   s.route_filtered = route_filtered_->value();

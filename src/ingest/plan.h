@@ -21,7 +21,7 @@ namespace bistro {
 /// bytes) share one bucket so a file is admitted atomically or not at
 /// all. Driven by the event-loop clock, so it is exactly reproducible
 /// under simulated time. Buckets survive plan recompilation (the runtime
-/// keys them by plan selector), so a registry bump never refunds tokens.
+/// keys them by plan selector), so a feed revision never refunds tokens.
 class QuotaBucket {
  public:
   /// `files` / `bytes` <= 0 disables that budget.
@@ -87,7 +87,6 @@ struct FeedPlan {
 /// An immutable compiled plan table, published RCU-style: readers grab
 /// the shared_ptr and use it lock-free; rebuilds swap in a fresh table.
 struct CompiledPlans {
-  uint64_t registry_version = 0;  // what this table was compiled against
   std::map<FeedName, FeedPlan> feeds;
 
   const FeedPlan* Find(const FeedName& feed) const {
@@ -122,9 +121,7 @@ Result<std::shared_ptr<const CompiledPlans>> CompilePlans(
 /// By-value snapshot of the runtime's counters (admin `plans` command).
 struct PlanStats {
   size_t governed_feeds = 0;
-  uint64_t snapshot_version = 0;
   uint64_t rebuilds = 0;
-  uint64_t rebuild_errors = 0;
   uint64_t quota_shed = 0;
   uint64_t sampled_out = 0;
   uint64_t route_filtered = 0;
@@ -134,31 +131,37 @@ struct PlanStats {
 };
 
 /// The live plan table: compiles the config's plan blocks against the
-/// registry, publishes the result as an immutable snapshot, and rebuilds
-/// lazily when the registry version moves (same idiom as the classifier
-/// automaton and the subscription index). The ingest pipeline and the
-/// delivery engine consult it on their hot paths; a null runtime (no
-/// plans configured) costs nothing.
+/// registry and publishes the result as an immutable snapshot. Plans
+/// depend only on feed definitions, so the table is compiled once at
+/// load and once per feed revision (BistroServer::ReviseFeed calls
+/// Rebuild), never on a lookup. The ingest pipeline and the delivery
+/// engine consult it on their hot paths; a null runtime (no plans
+/// configured) costs nothing.
 ///
 /// Thread contract: snapshot() and the hook methods are callable from
-/// pipeline workers and the event loop concurrently. Rebuilds read the
-/// registry, so callers on the ingest side invoke the hooks under the
-/// pipeline's shared definitions lock (the same protection the
-/// normalizer reads get); the delivery side shares the loop thread with
-/// every registry mutation.
+/// pipeline workers and the event loop concurrently. Rebuild and the
+/// primary-match refresh in FilterArrival read the registry, so they run
+/// under the pipeline's definitions lock (exclusive for Rebuild, shared
+/// for the hook), the same protection the normalizer reads get.
 class PlanRuntime {
  public:
   PlanRuntime(std::vector<PlanSpec> plans, const FeedRegistry* registry,
               PlanContext context);
 
-  /// Compiles now; the config-load error surface (BistroServer::Create
-  /// fails on a plan that does not validate).
-  Status Validate();
+  /// Compiles the plans against the registry as it stands and publishes
+  /// the table. On failure the previous table (none before the first
+  /// success) stays published and the error is returned: BistroServer
+  /// fails Create on it, and refuses the feed revision that caused it.
+  Status Rebuild();
 
-  /// Current compiled table, rebuilding first if the registry moved.
-  /// A failed rebuild keeps serving the previous table (stale but safe)
-  /// and counts bistro_plan_rebuild_errors_total.
-  std::shared_ptr<const CompiledPlans> snapshot();
+  /// Publishes `snap`, a table this runtime compiled. Rebuild publishes
+  /// through it; a feed revision the classifier refuses after the plan
+  /// rebuild puts the previous table back with it.
+  void Publish(std::shared_ptr<const CompiledPlans> snap);
+
+  /// The current compiled table (null before the first successful
+  /// Rebuild).
+  std::shared_ptr<const CompiledPlans> snapshot() const;
 
   /// Registers bistro_plan_* series.
   void AttachMetrics(MetricsRegistry* registry);
@@ -201,24 +204,19 @@ class PlanRuntime {
   PlanStats stats();
 
  private:
-  std::shared_ptr<const CompiledPlans> Rebuild();
-
-  std::mutex mu_;
+  /// Held only to copy or swap snap_, never across a compile.
+  mutable std::mutex mu_;
   const std::vector<PlanSpec> plans_;
   const FeedRegistry* registry_;
   const PlanContext context_;
   std::shared_ptr<const CompiledPlans> snap_;
-  /// Registry version of the last failed rebuild, so a persistently
-  /// broken revision is not recompiled on every lookup. Unset until a
-  /// rebuild fails (version 0 is a legitimate registry version).
-  std::optional<uint64_t> failed_version_;
-  /// Token buckets keyed by plan selector; survive recompilation.
+  /// Token buckets keyed by plan selector; survive recompilation. Only
+  /// Rebuild touches the map, and its calls are serialized.
   std::map<FeedName, std::shared_ptr<QuotaBucket>> buckets_;
 
   /// Fallback registry so the counters below always exist.
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   Counter* rebuilds_ = nullptr;
-  Counter* rebuild_errors_ = nullptr;
   Counter* quota_shed_ = nullptr;
   Counter* sampled_out_ = nullptr;
   Counter* route_filtered_ = nullptr;

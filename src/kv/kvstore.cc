@@ -213,6 +213,17 @@ std::vector<std::pair<std::string, std::string>> KvStore::ScanPrefix(
   return out;
 }
 
+size_t KvStore::CountPrefix(const std::string& prefix) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t n = 0;
+  for (auto it = table_.lower_bound(prefix);
+       it != table_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    ++n;
+  }
+  return n;
+}
+
 size_t KvStore::Size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return table_.size();

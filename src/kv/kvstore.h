@@ -67,6 +67,8 @@ class KvStore {
   /// All (key, value) pairs whose key starts with `prefix`, in key order.
   std::vector<std::pair<std::string, std::string>> ScanPrefix(
       const std::string& prefix) const;
+  /// Number of keys starting with `prefix`, counted without copying.
+  size_t CountPrefix(const std::string& prefix) const;
 
   /// Number of live keys.
   size_t Size() const;

@@ -336,7 +336,7 @@ Result<std::vector<std::string>> ReceiptDatabase::ExpireBefore(TimePoint cutoff)
 
 size_t ReceiptDatabase::ArrivalCount() const {
   size_t total = 0;
-  for (const auto& kv : kvs_) total += kv->ScanPrefix("a/").size();
+  for (const auto& kv : kvs_) total += kv->CountPrefix("a/");
   return total;
 }
 

@@ -155,18 +155,20 @@ TEST(ClassifierTest, AutomatonSkipsCandidateChecks) {
 
 TEST(ClassifierTest, ClassifyKeepsSnapshotUntilRebuild) {
   // Classify never recompiles: a registry revision shows only after the
-  // reviser calls Rebuild, and the snapshot records its version.
+  // reviser calls Rebuild, which swaps in a new table.
   auto registry = MustRegistry(R"(feed F { pattern "old_%i.log"; })");
   FeedClassifier classifier(registry.get());
   EXPECT_TRUE(classifier.Classify("old_1.log").matched());
+  const auto before = classifier.automaton();
   FeedSpec revised = registry->FindFeed("F")->spec;
   revised.pattern = "new_%i.log";
   ASSERT_TRUE(registry->UpdateFeed(revised).ok());
   EXPECT_TRUE(classifier.Classify("old_1.log").matched());
   EXPECT_FALSE(classifier.Classify("new_1.log").matched());
-  EXPECT_NE(classifier.automaton()->version(), registry->version());
+  EXPECT_EQ(classifier.automaton(), before);
   ASSERT_TRUE(classifier.Rebuild().ok());
-  EXPECT_EQ(classifier.automaton()->version(), registry->version());
+  EXPECT_NE(classifier.automaton(), before);
+  EXPECT_NE(classifier.automaton()->TableDigest(), before->TableDigest());
   EXPECT_FALSE(classifier.Classify("old_1.log").matched());
   EXPECT_TRUE(classifier.Classify("new_1.log").matched());
 }

@@ -7,6 +7,7 @@
 #include "common/strings.h"
 #include "config/parser.h"
 #include "config/registry.h"
+#include "fanout/subscription_index.h"
 
 namespace bistro {
 namespace {
@@ -522,15 +523,20 @@ subscriber s { feeds G, G.A; }
   EXPECT_EQ(feeds, (std::vector<FeedName>{"G.A", "G.B"}));
 }
 
-TEST(RegistryTest, SubscribersOfResolvesGroups) {
+TEST(RegistryTest, SubscriptionIndexResolvesGroups) {
   auto registry = MustRegistry(kSnmpConfig);
-  auto subs = registry->SubscribersOf("SNMP.CPU.POLLER1");
-  ASSERT_EQ(subs.size(), 2u);  // dallas (via SNMP.CPU) and atlanta (via SNMP)
-  auto bps_subs = registry->SubscribersOf("SNMP.BPS");
-  ASSERT_EQ(bps_subs.size(), 2u);
-  auto memory_subs = registry->SubscribersOf("SNMP.MEMORY");
+  fanout::SubscriptionIndex index(registry.get());
+  // dallas (via SNMP.CPU) and atlanta (via SNMP), in registration order.
+  const auto& subs = index.PostingsFor("SNMP.CPU.POLLER1");
+  ASSERT_EQ(subs.size(), 2u);
+  EXPECT_EQ(subs[0]->name, "dallas_warehouse");
+  EXPECT_EQ(subs[1]->name, "atlanta_marketing");
+  EXPECT_EQ(index.PostingsFor("SNMP.BPS").size(), 2u);
+  const auto& memory_subs = index.PostingsFor("SNMP.MEMORY");
   ASSERT_EQ(memory_subs.size(), 1u);
   EXPECT_EQ(memory_subs[0]->name, "atlanta_marketing");
+  // A group name is not a feed: lookups are by concrete feed only.
+  EXPECT_TRUE(index.PostingsFor("SNMP.CPU").empty());
 }
 
 TEST(RegistryTest, RejectsDuplicateFeed) {
@@ -619,7 +625,6 @@ TEST(RegistryTest, UpdateFeedReplacesPattern) {
 
 TEST(RegistryTest, UpdateFeedRollsBackWhenCheckFails) {
   auto registry = MustRegistry(R"(feed F { pattern "old_%i"; })");
-  const uint64_t version = registry->version();
   auto refuse = [] { return Status::ResourceExhausted("no"); };
   FeedSpec revised = registry->FindFeed("F")->spec;
   revised.pattern = "new_%i";
@@ -630,7 +635,7 @@ TEST(RegistryTest, UpdateFeedRollsBackWhenCheckFails) {
   added.name = "G";
   EXPECT_FALSE(registry->UpdateFeed(added, refuse).ok());
   EXPECT_EQ(registry->FindFeed("G"), nullptr);
-  EXPECT_EQ(registry->version(), version);
+  EXPECT_EQ(registry->feeds().size(), 1u);
   // The check sees the revised registry; success keeps the revision.
   ASSERT_TRUE(registry
                   ->UpdateFeed(revised,
@@ -641,7 +646,7 @@ TEST(RegistryTest, UpdateFeedRollsBackWhenCheckFails) {
                                             : Status::Internal("stale");
                                })
                   .ok());
-  EXPECT_EQ(registry->version(), version + 1);
+  EXPECT_TRUE(registry->FindFeed("F")->pattern.Matches("new_1"));
 }
 
 TEST(RegistryTest, AddSubscriberAtRuntime) {
@@ -650,7 +655,9 @@ TEST(RegistryTest, AddSubscriberAtRuntime) {
   sub.name = "late_joiner";
   sub.feeds = {"F"};
   ASSERT_TRUE(registry->AddSubscriber(sub).ok());
-  EXPECT_EQ(registry->SubscribersOf("F").size(), 1u);
+  ASSERT_NE(registry->FindSubscriber("late_joiner"), nullptr);
+  EXPECT_EQ(registry->SubscribedFeeds(*registry->FindSubscriber("late_joiner")),
+            (std::vector<FeedName>{"F"}));
   EXPECT_TRUE(registry->AddSubscriber(sub).IsAlreadyExists());
   SubscriberSpec bad;
   bad.name = "bad";

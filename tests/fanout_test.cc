@@ -42,7 +42,7 @@ Message FileMsg(FileId id, const std::string& name, const std::string& body,
 size_t CountReceiptRows(ReceiptDatabase* db, const std::string& prefix) {
   size_t n = 0;
   for (size_t i = 0; i < db->shard_count(); ++i) {
-    n += db->kv(i)->ScanPrefix(prefix).size();
+    n += db->kv(i)->CountPrefix(prefix);
   }
   return n;
 }
@@ -130,27 +130,37 @@ TEST(SubscriptionIndexTest, InvertsInterestSets) {
             (std::vector<SubscriberName>{"dashboard", "warehouse"}));
 }
 
-TEST(SubscriptionIndexTest, RebuildsLazilyOnRegistryVersionBump) {
+TEST(SubscriptionIndexTest, RebuildsOnlyWhenAsked) {
   auto config = ParseConfig(kIndexConfig);
   ASSERT_TRUE(config.ok());
   auto registry = FeedRegistry::Create(*config);
   ASSERT_TRUE(registry.ok());
   SubscriptionIndex index(registry->get());
+  EXPECT_EQ(index.rebuilds(), 1u);  // built at construction
 
   index.PostingsFor("SNMP.CPU");
   index.PostingsFor("SNMP.MEMORY");
   index.PostingsFor("SNMP.CPU");
   EXPECT_EQ(index.rebuilds(), 1u);  // one build serves many lookups
+  EXPECT_EQ(index.lookups(), 3u);
 
   SubscriberSpec extra;
   extra.name = "archiver";
   extra.feeds = {"SNMP.MEMORY"};
   extra.method = DeliveryMethod::kPush;
   ASSERT_TRUE((*registry)->AddSubscriber(extra).ok());
+  // Until the mutator rebuilds, the index serves the previous interest
+  // sets (BistroServer::AddSubscriber rebuilds in the same call).
+  EXPECT_EQ(index.PostingsFor("SNMP.MEMORY").size(), 1u);
+  EXPECT_EQ(index.rebuilds(), 1u);
+  index.Rebuild();
   const auto& mem = index.PostingsFor("SNMP.MEMORY");
-  EXPECT_EQ(index.rebuilds(), 2u);  // version bump forced a rebuild
+  EXPECT_EQ(index.rebuilds(), 2u);
   ASSERT_EQ(mem.size(), 2u);
   EXPECT_EQ(mem[1]->name, "archiver");
+  EXPECT_EQ(index.ActiveSubscribers(),
+            (std::vector<SubscriberName>{"archiver", "dashboard",
+                                         "warehouse"}));
 }
 
 // ------------------------------------ server fixture (groups + shards)
@@ -231,15 +241,18 @@ class FanoutServerTest : public ::testing::Test {
   std::unique_ptr<GroupManager> groups_;
 };
 
-// Satellite (a): the regression probe. FeedRegistry counts every
-// SubscribersOf full scan; deposits, punctuation, subscriber backfill,
-// feed revision and startup must all route through the index instead.
-TEST_F(FanoutServerTest, NoFullSubscriberScanOnAnyHotPath) {
+// The index is rebuilt by the calls that change the registry, once each,
+// and by nothing else: deposits and punctuation only look it up.
+TEST_F(FanoutServerTest, IndexRebuildsOnlyAtRegistryChanges) {
+  fanout::SubscriptionIndex* index = server_->delivery()->subscription_index();
+  const uint64_t booted = index->rebuilds();
   ASSERT_TRUE(
       server_->Deposit("poller1", "CPU_POLL1_201009250400.txt", "cpu=1").ok());
   loop_->RunUntilIdle();
   server_->SourceEndOfBatch("SNMP.CPU", loop_->Now());
   loop_->RunUntilIdle();
+  EXPECT_EQ(index->rebuilds(), booted);
+  EXPECT_GT(index->lookups(), 0u);
 
   SubscriberSpec late;
   late.name = "latecomer";
@@ -247,16 +260,23 @@ TEST_F(FanoutServerTest, NoFullSubscriberScanOnAnyHotPath) {
   late.feeds = {"SNMP"};
   late.method = DeliveryMethod::kPush;
   ASSERT_TRUE(server_->AddSubscriber(late).ok());
+  EXPECT_EQ(index->rebuilds(), booted + 1);
+  // The new subscriber's backfill already ran off the rebuilt index.
+  EXPECT_EQ(index->PostingsFor("SNMP.CPU").back()->name, "latecomer");
   loop_->RunUntilIdle();
+  EXPECT_TRUE(server_->receipts()->Delivered("latecomer", 1));
+
+  late.feeds = {};
+  ASSERT_TRUE(server_->UpdateSubscriber(late).ok());
+  EXPECT_EQ(index->rebuilds(), booted + 2);
+  EXPECT_EQ(index->PostingsFor("SNMP.CPU").back()->name, "analytics");
 
   FeedSpec revised = server_->registry()->FindFeed("SNMP.CPU")->spec;
   revised.tardiness = 2 * kMinute;
   ASSERT_TRUE(server_->ReviseFeed(revised).ok());
+  EXPECT_EQ(index->rebuilds(), booted + 3);
   loop_->RunUntilIdle();
-
-  EXPECT_EQ(server_->registry()->subscriber_scans(), 0u)
-      << "a delivery path fell back to the O(subscribers x feeds) scan";
-  EXPECT_GT(server_->delivery()->subscription_index()->lookups(), 0u);
+  EXPECT_EQ(index->rebuilds(), booted + 3);
 }
 
 TEST_F(FanoutServerTest, GroupSharesOneCursorAndOneReceiptRow) {

@@ -185,6 +185,11 @@ TEST(KvStoreTest, ScanPrefixOrdered) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].first, "d/sub1/1");
   EXPECT_EQ(rows[1].first, "d/sub1/3");
+  // CountPrefix counts the same rows in place.
+  EXPECT_EQ((*store)->CountPrefix("d/sub1/"), 2u);
+  EXPECT_EQ((*store)->CountPrefix("d/"), 3u);
+  EXPECT_EQ((*store)->CountPrefix(""), 4u);
+  EXPECT_EQ((*store)->CountPrefix("d/sub3/"), 0u);
 }
 
 TEST(KvStoreTest, EmptyKeyAndValue) {

@@ -47,12 +47,13 @@ struct World {
   }
 
   Status Boot(const std::string& config_text,
-              DeliveryScheduler* scheduler = nullptr) {
+              DeliveryScheduler* scheduler = nullptr,
+              BistroServer::Options options = BistroServer::Options()) {
     auto config = ParseConfig(config_text);
     if (!config.ok()) return config.status();
-    auto created = BistroServer::Create(
-        BistroServer::Options(), *config, &fs, &transport, &loop, &invoker,
-        &logger, scheduler);
+    auto created =
+        BistroServer::Create(std::move(options), *config, &fs, &transport,
+                             &loop, &invoker, &logger, scheduler);
     if (!created.ok()) return created.status();
     server = std::move(*created);
     return Status::OK();
@@ -388,9 +389,134 @@ plan TENANT { quota 2 per 1m; slo bulk; }
   EXPECT_NE(out.find("TENANT.AUDIT"), std::string::npos) << out;
   EXPECT_NE(out.find("bulk"), std::string::npos) << out;
   EXPECT_NE(out.find("quota"), std::string::npos) << out;
+  EXPECT_NE(out.find("governed feeds: 2 (1 rebuild(s))"), std::string::npos)
+      << out;
   // The command is listed in help, and a plan-less server still answers.
   EXPECT_NE(ExecuteAdminCommand(w.server.get(), "help").find("plans"),
             std::string::npos);
+}
+
+constexpr char kTenantConfig[] = R"(
+group TENANT {
+  feed SYSLOG { pattern "syslog_%i_%Y%m%d%H%M.txt"; }
+  feed AUDIT { pattern "audit_%i_%Y%m%d%H%M.txt"; }
+}
+subscriber ops { destination "/ops"; feeds TENANT; method push; }
+subscriber archive { destination "/archive"; feeds TENANT; method push; }
+plan TENANT { route ops; slo bulk; }
+)";
+
+// A feed revision recompiles the plan table in the same call: a new feed
+// under a planned group is governed as soon as ReviseFeed returns.
+TEST(PlanE2e, ReviseFeedBringsNewFeedUnderItsPlanAtOnce) {
+  World w;
+  FileSinkEndpoint* ops = w.AddSink("ops", "/ops");
+  FileSinkEndpoint* archive = w.AddSink("archive", "/archive");
+  ASSERT_TRUE(w.Boot(kTenantConfig).ok());
+  PlanRuntime* plans = w.server->plans();
+  EXPECT_EQ(plans->snapshot()->Find("TENANT.TRACE"), nullptr);
+
+  FeedSpec trace;
+  trace.name = "TENANT.TRACE";
+  trace.pattern = "trace_%i_%Y%m%d%H%M.txt";
+  ASSERT_TRUE(w.server->ReviseFeed(trace).ok());
+  const FeedPlan* fp = plans->snapshot()->Find("TENANT.TRACE");
+  ASSERT_NE(fp, nullptr);
+  EXPECT_EQ(fp->selector, "TENANT");
+  EXPECT_EQ(fp->slo, "bulk");
+  EXPECT_EQ(plans->stats().governed_feeds, 3u);
+  EXPECT_EQ(plans->TardinessFor("TENANT.TRACE", kMinute), 4 * kMinute);
+
+  // The next trace file follows the plan's route: ops only.
+  ASSERT_TRUE(w.server->Deposit("src", "trace_1_201009250400.txt", "t").ok());
+  w.loop.RunUntilIdle();
+  EXPECT_EQ(ops->files_received(), 1u);
+  EXPECT_EQ(archive->files_received(), 0u);
+  EXPECT_EQ(plans->stats().route_filtered, 1u);
+}
+
+// "Contains this id" patterns: past FeedAutomaton's compile budget and
+// more than its residual list takes, so the classifier refuses them.
+FeedSpec OverBudgetFeed(const FeedName& name) {
+  FeedSpec spec;
+  spec.name = name;
+  spec.pattern = "%s_DEV0_%s";
+  for (int i = 1; i < 300; ++i) {
+    spec.alt_patterns.push_back(StrFormat("%%s_DEV%d_%%s", i));
+  }
+  return spec;
+}
+
+// A revision the classifier refuses after the plan table was rebuilt for
+// it is refused whole: registry, classifier table and plan table are the
+// ones from before the call.
+TEST(PlanE2e, RefusedRevisionKeepsRegistryClassifierAndPlanTable) {
+  World w;
+  w.AddSink("ops", "/ops");
+  w.AddSink("archive", "/archive");
+  ASSERT_TRUE(w.Boot(kTenantConfig).ok());
+  const auto dfa = w.server->classifier()->automaton();
+  const auto plan_table = w.server->plans()->snapshot();
+
+  for (const char* name : {"TENANT.AUDIT", "TENANT.BULK"}) {
+    Status refused = w.server->ReviseFeed(OverBudgetFeed(name));
+    EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted) << refused;
+    EXPECT_EQ(w.server->classifier()->automaton(), dfa);
+    EXPECT_EQ(w.server->plans()->snapshot(), plan_table);
+    EXPECT_EQ(w.server->plans()->stats().governed_feeds, 2u);
+  }
+  EXPECT_EQ(w.server->registry()->FindFeed("TENANT.BULK"), nullptr);
+  EXPECT_EQ(w.server->registry()->FindFeed("TENANT.AUDIT")->spec.pattern,
+            "audit_%i_%Y%m%d%H%M.txt");
+  EXPECT_EQ(w.server->delivery()->subscription_index()->PostingsFor(
+                "TENANT.BULK").size(),
+            0u);
+}
+
+// Plans depend only on feed definitions. While ingest workers stage
+// files of a planned feed (reading the plan table), the loop thread adds
+// and updates subscribers: the plan table is never recompiled, and the
+// workers read nothing those calls write (the CI tsan job runs this).
+TEST(PlanE2e, SubscriberChangesDuringThreadedIngestLeaveThePlanTableAlone) {
+  World w;
+  FileSinkEndpoint* sink = w.AddSink("sink", "/sink");
+  BistroServer::Options options;
+  options.ingest.workers = 2;
+  ASSERT_TRUE(w.Boot(R"(
+feed A { pattern "a_%i_%Y%m%d%H%M.txt"; }
+feed B { pattern "b_%i_%Y%m%d%H%M.txt"; }
+subscriber sink { destination "/sink"; feeds A; method push; }
+plan A { slo bulk; }
+)",
+                     nullptr, options)
+                  .ok());
+  ASSERT_TRUE(w.server->ingest()->threaded());
+  const uint64_t plan_rebuilds = w.server->plans()->stats().rebuilds;
+  EXPECT_EQ(plan_rebuilds, 1u);
+  fanout::SubscriptionIndex* index = w.server->delivery()->subscription_index();
+  const uint64_t index_rebuilds = index->rebuilds();
+
+  constexpr int kChanges = 150;
+  for (int i = 0; i < kChanges; ++i) {
+    ASSERT_TRUE(w.server
+                    ->Deposit("src", StrFormat("a_%d_201009250400.txt", i),
+                              "payload")
+                    .ok());
+    SubscriberSpec sub;
+    sub.name = StrFormat("late%d", i);
+    sub.host = "sink";
+    sub.feeds = {"B"};
+    sub.method = DeliveryMethod::kPush;
+    ASSERT_TRUE(w.server->AddSubscriber(sub).ok());
+    sub.feeds = {};
+    ASSERT_TRUE(w.server->UpdateSubscriber(sub).ok());
+  }
+  w.server->ingest()->WaitIdle();
+  w.loop.RunUntilIdle();
+
+  EXPECT_EQ(sink->files_received(), static_cast<size_t>(kChanges));
+  EXPECT_EQ(w.server->plans()->stats().rebuilds, plan_rebuilds);
+  EXPECT_EQ(index->rebuilds(), index_rebuilds + 2 * kChanges);
 }
 
 TEST(PlanE2e, PlansCommandWithoutPlansExplainsItself) {

@@ -298,7 +298,7 @@ TEST(PlanHashTest, SplitRoutesEveryFileToExactlyOneArm) {
 
 // ------------------------------------------------------------------ runtime
 
-TEST(PlanRuntimeTest, RebuildsLazilyOnRegistryVersionBump) {
+TEST(PlanRuntimeTest, RebuildsOnlyWhenAsked) {
   auto config = ParseWithPlans("plan TENANT { slo bulk; }");
   ASSERT_TRUE(config.ok()) << config.status();
   auto registry = FeedRegistry::Create(*config);
@@ -306,21 +306,24 @@ TEST(PlanRuntimeTest, RebuildsLazilyOnRegistryVersionBump) {
 
   PlanRuntime runtime(config->plans, registry->get(),
                       PlanContextFromConfig(*config));
-  ASSERT_TRUE(runtime.Validate().ok());
+  EXPECT_EQ(runtime.snapshot(), nullptr);  // nothing before the first build
+  ASSERT_TRUE(runtime.Rebuild().ok());
   auto before = runtime.snapshot();
   ASSERT_NE(before, nullptr);
   EXPECT_EQ(before->feeds.size(), 2u);
   EXPECT_EQ(runtime.stats().rebuilds, 1u);
-  // Stable registry: repeated snapshots are the same table, no rebuild.
-  EXPECT_EQ(runtime.snapshot().get(), before.get());
-  EXPECT_EQ(runtime.stats().rebuilds, 1u);
 
-  // A new feed under the governed prefix joins the plan on the next
-  // snapshot — no explicit invalidation anywhere.
+  // A new feed under the governed prefix changes nothing by itself: a
+  // lookup never compiles.
   FeedSpec extra;
   extra.name = "TENANT.TRACE";
   extra.pattern = "trace_%i_%Y%m%d%H%M.txt";
   ASSERT_TRUE((*registry)->UpdateFeed(extra).ok());
+  EXPECT_EQ(runtime.snapshot().get(), before.get());
+  EXPECT_EQ(runtime.stats().rebuilds, 1u);
+
+  // The explicit rebuild (what ReviseFeed calls) brings it under the plan.
+  ASSERT_TRUE(runtime.Rebuild().ok());
   auto after = runtime.snapshot();
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after.get(), before.get());
@@ -330,6 +333,11 @@ TEST(PlanRuntimeTest, RebuildsLazilyOnRegistryVersionBump) {
   EXPECT_EQ(trace->slo, "bulk");
   EXPECT_EQ(runtime.stats().rebuilds, 2u);
   EXPECT_EQ(runtime.stats().governed_feeds, 3u);
+
+  // Publish puts an earlier table back (a refused revision's undo).
+  runtime.Publish(before);
+  EXPECT_EQ(runtime.snapshot().get(), before.get());
+  EXPECT_EQ(runtime.stats().governed_feeds, 2u);
 }
 
 TEST(PlanRuntimeTest, QuotaBucketSurvivesRecompilation) {
@@ -340,7 +348,7 @@ TEST(PlanRuntimeTest, QuotaBucketSurvivesRecompilation) {
   ASSERT_TRUE(registry.ok()) << registry.status();
   PlanRuntime runtime(config->plans, registry->get(),
                       PlanContextFromConfig(*config));
-  ASSERT_TRUE(runtime.Validate().ok());
+  ASSERT_TRUE(runtime.Rebuild().ok());
 
   auto bucket = runtime.snapshot()->Find("TENANT.SYSLOG")->quota;
   ASSERT_NE(bucket, nullptr);
@@ -348,12 +356,13 @@ TEST(PlanRuntimeTest, QuotaBucketSurvivesRecompilation) {
   EXPECT_TRUE(bucket->TryAdmit(t0, 1));
   EXPECT_FALSE(bucket->TryAdmit(t0, 1));
 
-  // Bump the registry; the rebuilt table must reuse the drained bucket —
-  // a config reload never refunds admission tokens.
+  // Revise the registry; the rebuilt table must reuse the drained bucket —
+  // a feed revision never refunds admission tokens.
   FeedSpec extra;
   extra.name = "TENANT.TRACE";
   extra.pattern = "trace_%i_%Y%m%d%H%M.txt";
   ASSERT_TRUE((*registry)->UpdateFeed(extra).ok());
+  ASSERT_TRUE(runtime.Rebuild().ok());
   auto rebuilt = runtime.snapshot();
   ASSERT_NE(rebuilt->Find("TENANT.TRACE"), nullptr);
   EXPECT_EQ(rebuilt->Find("TENANT.SYSLOG")->quota.get(), bucket.get());
@@ -361,29 +370,33 @@ TEST(PlanRuntimeTest, QuotaBucketSurvivesRecompilation) {
   EXPECT_FALSE(bucket->TryAdmit(t0, 1));
 }
 
-TEST(PlanRuntimeTest, FailedRebuildIsGatedPerVersion) {
-  // The selector matches nothing yet: Validate refuses (the Create-time
-  // error surface), and snapshot() serves no table without recompiling
-  // the same broken revision on every call.
+TEST(PlanRuntimeTest, FailedRebuildPublishesNothing) {
+  // The selector matches nothing yet: Rebuild refuses (the Create-time
+  // error surface) and publishes no table.
   auto config = ParseWithPlans("plan FUTURE { slo bulk; }");
   ASSERT_TRUE(config.ok()) << config.status();
   auto registry = FeedRegistry::Create(*config);
   ASSERT_TRUE(registry.ok()) << registry.status();
   PlanRuntime runtime(config->plans, registry->get(),
                       PlanContextFromConfig(*config));
-  EXPECT_FALSE(runtime.Validate().ok());
+  Status refused = runtime.Rebuild();
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+  EXPECT_NE(refused.message().find("FUTURE"), std::string::npos);
   EXPECT_EQ(runtime.snapshot(), nullptr);
-  EXPECT_EQ(runtime.snapshot(), nullptr);
-  EXPECT_EQ(runtime.stats().rebuild_errors, 1u);  // gated, not per-call
+  EXPECT_EQ(runtime.stats().rebuilds, 0u);
 
-  // Once the registry learns the feed, the next snapshot recovers.
+  // Once the registry learns the feed, the next Rebuild succeeds; until
+  // then a lookup still serves no table.
   FeedSpec feed;
   feed.name = "FUTURE";
   feed.pattern = "future_%i_%Y%m%d%H%M.txt";
   ASSERT_TRUE((*registry)->UpdateFeed(feed).ok());
+  EXPECT_EQ(runtime.snapshot(), nullptr);
+  ASSERT_TRUE(runtime.Rebuild().ok());
   auto snap = runtime.snapshot();
   ASSERT_NE(snap, nullptr);
   EXPECT_NE(snap->Find("FUTURE"), nullptr);
+  EXPECT_EQ(runtime.stats().rebuilds, 1u);
 }
 
 TEST(PlanRuntimeTest, FilterArrivalDefersOnQuotaAndDiscardsOnSampling) {
@@ -396,7 +409,7 @@ TEST(PlanRuntimeTest, FilterArrivalDefersOnQuotaAndDiscardsOnSampling) {
   ASSERT_TRUE(registry.ok()) << registry.status();
   PlanRuntime runtime(config->plans, registry->get(),
                       PlanContextFromConfig(*config));
-  ASSERT_TRUE(runtime.Validate().ok());
+  ASSERT_TRUE(runtime.Rebuild().ok());
 
   auto classify = [](const std::string& feed) {
     Classification c;
@@ -451,7 +464,7 @@ TEST(PlanRuntimeTest, TardinessScalesByDeclaredSlo) {
   ASSERT_TRUE(registry.ok()) << registry.status();
   PlanRuntime runtime(config->plans, registry->get(),
                       PlanContextFromConfig(*config));
-  ASSERT_TRUE(runtime.Validate().ok());
+  ASSERT_TRUE(runtime.Rebuild().ok());
   EXPECT_EQ(runtime.TardinessFor("TENANT.SYSLOG", kMinute), 15 * kSecond);
   EXPECT_EQ(runtime.TardinessFor("TENANT.AUDIT", kMinute), 4 * kMinute);
   // Ungoverned feeds keep their own deadline bound.
