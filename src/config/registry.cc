@@ -26,6 +26,30 @@ bool IsPrefixGroup(const FeedName& group, const FeedName& feed) {
   return feed.size() > group.size() && StartsWith(feed, group) &&
          feed[group.size()] == '.';
 }
+
+/// A feed name must not also denote a group (ambiguous expansion): no
+/// feed in `feeds` may sit under `name`, and `name` may not sit under
+/// one. The map is sorted, so the first name under "<name>." is the only
+/// candidate below it.
+Status CheckNotGroupPrefix(const std::map<FeedName, RegisteredFeed>& feeds,
+                           const FeedName& name) {
+  auto below = feeds.lower_bound(name + ".");
+  if (below != feeds.end() && IsPrefixGroup(name, below->first)) {
+    return Status::InvalidArgument("feed '" + name +
+                                   "' is also a group prefix of '" +
+                                   below->first + "'");
+  }
+  for (size_t dot = name.find('.'); dot != std::string::npos;
+       dot = name.find('.', dot + 1)) {
+    FeedName above = name.substr(0, dot);
+    if (feeds.count(above) != 0) {
+      return Status::InvalidArgument("feed '" + above +
+                                     "' is also a group prefix of '" + name +
+                                     "'");
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
 
 Result<std::unique_ptr<FeedRegistry>> FeedRegistry::Create(
@@ -38,15 +62,8 @@ Result<std::unique_ptr<FeedRegistry>> FeedRegistry::Create(
     BISTRO_ASSIGN_OR_RETURN(RegisteredFeed feed, CompileFeed(spec));
     registry->feeds_.emplace(spec.name, std::move(feed));
   }
-  // A feed name must not also denote a group (ambiguous expansion). The
-  // map is sorted, so the first name under "<name>." is its only candidate.
   for (const auto& [name, _] : registry->feeds_) {
-    auto it = registry->feeds_.lower_bound(name + ".");
-    if (it != registry->feeds_.end() && IsPrefixGroup(name, it->first)) {
-      return Status::InvalidArgument("feed '" + name +
-                                     "' is also a group prefix of '" +
-                                     it->first + "'");
-    }
+    BISTRO_RETURN_IF_ERROR(CheckNotGroupPrefix(registry->feeds_, name));
   }
   std::set<SubscriberName> sub_names;
   for (const auto& sub : config.subscribers) {
@@ -118,6 +135,7 @@ Status FeedRegistry::UpdateFeed(const FeedSpec& spec,
     previous = std::move(it->second);
     it->second = std::move(feed);
   } else {
+    BISTRO_RETURN_IF_ERROR(CheckNotGroupPrefix(feeds_, spec.name));
     it = feeds_.emplace(spec.name, std::move(feed)).first;
   }
   Status status = check ? check() : Status::OK();

@@ -66,6 +66,8 @@ class FeedRegistry {
   const SubscriberSpec* FindSubscriber(const SubscriberName& name) const;
 
   /// Adds or replaces a feed definition (analyzer-approved revision).
+  /// A new feed is refused, as Create refuses it, when its name and an
+  /// existing feed's would make one a group prefix of the other.
   /// `check`, if given, runs on the revised registry before the revision
   /// stands; if it fails, the previous definition is restored and its
   /// error returned. The caller keeps every other reader of the registry

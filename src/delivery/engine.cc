@@ -538,8 +538,8 @@ void DeliveryEngine::SubmitJobsFor(const SubscriberSpec& sub,
     // the real-time path filtered out.
     FeedName feed;
     for (const auto& f : receipt.feeds) {
-      if (std::find(subscribed.begin(), subscribed.end(), f) ==
-          subscribed.end()) {
+      // SubscribedFeeds lists the feeds sorted.
+      if (!std::binary_search(subscribed.begin(), subscribed.end(), f)) {
         continue;
       }
       if (plans_ != nullptr &&
@@ -556,21 +556,10 @@ void DeliveryEngine::SubmitJobsFor(const SubscriberSpec& sub,
   Pump();
 }
 
-std::vector<ArrivalReceipt> DeliveryEngine::UndeliveredTo(
-    const SubscriberSpec& sub) {
-  // Buffered receipts are deliveries that already happened; commit them
-  // first so the recomputed queue does not resubmit those files.
-  FlushDeliveryReceipts();
-  TimePoint window_start = sub.window > 0 ? loop_->Now() - sub.window : 0;
-  if (window_start < 0) window_start = 0;
-  return receipts_->ComputeDeliveryQueue(
-      sub.name, registry_->SubscribedFeeds(sub), window_start);
-}
-
 void DeliveryEngine::Backfill(const SubscriberName& sub_name) {
   const SubscriberSpec* sub = registry_->FindSubscriber(sub_name);
   if (sub == nullptr || offline_.count(sub_name) != 0) return;
-  SubmitJobsFor(*sub, UndeliveredTo(*sub), /*backfill=*/true);
+  StreamUndelivered(*sub, sub_name);
 }
 
 void DeliveryEngine::BackfillFeed(const FeedName& feed) {
@@ -586,20 +575,53 @@ void DeliveryEngine::BackfillFeed(const FeedName& feed) {
 void DeliveryEngine::RerouteUndelivered(const SubscriberName& from,
                                         const SubscriberName& to) {
   const SubscriberSpec* from_sub = registry_->FindSubscriber(from);
-  const SubscriberSpec* to_sub = registry_->FindSubscriber(to);
-  if (from_sub == nullptr || to_sub == nullptr) return;
+  if (from_sub == nullptr || registry_->FindSubscriber(to) == nullptr) return;
   if (offline_.count(to) != 0) return;  // the replica is down too
-  std::vector<ArrivalReceipt> queue = UndeliveredTo(*from_sub);
-  // Files the replica already holds would only waste wire bytes (the
-  // downstream dedupe absorbs them regardless); skip them here.
-  std::vector<ArrivalReceipt> missing;
-  missing.reserve(queue.size());
-  for (ArrivalReceipt& receipt : queue) {
-    if (!receipts_->Delivered(to, receipt.file_id)) {
-      missing.push_back(std::move(receipt));
+  StreamUndelivered(*from_sub, to);
+}
+
+void DeliveryEngine::StreamUndelivered(const SubscriberSpec& from,
+                                       const SubscriberName& to) {
+  // Buffered receipts are deliveries that already happened; commit them
+  // first so the stream does not resubmit those files.
+  FlushDeliveryReceipts();
+  StreamKey key{from.name, to};
+  BackfillCursor& cursor = backfills_[key];
+  cursor.ids = receipts_->FilesInFeeds(registry_->SubscribedFeeds(from));
+  cursor.next = 0;
+  cursor.window_start =
+      from.window > 0 ? std::max<TimePoint>(loop_->Now() - from.window, 0) : 0;
+  cursor.serial = ++backfill_serial_;
+  BackfillPage(key, cursor.serial);
+}
+
+void DeliveryEngine::BackfillPage(const StreamKey& key, uint64_t serial) {
+  auto it = backfills_.find(key);
+  if (it == backfills_.end() || it->second.serial != serial) return;
+  const auto& [from, to] = key;
+  const SubscriberSpec* sub = registry_->FindSubscriber(to);
+  if (sub == nullptr || offline_.count(to) != 0) {
+    backfills_.erase(it);
+    return;
+  }
+  BackfillCursor& cursor = it->second;
+  std::vector<ArrivalReceipt> page;
+  const size_t end = std::min(cursor.ids.size(), cursor.next + kBackfillPage);
+  for (; cursor.next < end; ++cursor.next) {
+    const FileId id = cursor.ids[cursor.next];
+    // Files a re-route's replica already holds would only waste wire
+    // bytes (the downstream dedupe absorbs them regardless).
+    if (from != to && receipts_->Delivered(to, id)) continue;
+    if (auto receipt = receipts_->Undelivered(from, id, cursor.window_start)) {
+      page.push_back(std::move(*receipt));
     }
   }
-  SubmitJobsFor(*to_sub, missing, /*backfill=*/true);
+  if (cursor.next == cursor.ids.size()) {
+    backfills_.erase(it);
+  } else {
+    loop_->Post(Guard([this, key, serial] { BackfillPage(key, serial); }));
+  }
+  SubmitJobsFor(*sub, page, /*backfill=*/true);
 }
 
 bool DeliveryEngine::IsOffline(const SubscriberName& subscriber) const {

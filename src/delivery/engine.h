@@ -142,9 +142,18 @@ class DeliveryEngine {
   /// subscribers of `feed`.
   void OnSourcePunctuation(const FeedName& feed, TimePoint batch_time);
 
+  /// Candidate files a backfill or re-route examines per event-loop task.
+  static constexpr size_t kBackfillPage = 128;
+
   /// Recomputes the delivery queue for one subscriber from receipts and
   /// submits every undelivered file (new subscriber joining, subscriber
-  /// back online, or feed definition revised — §4.2).
+  /// back online, or feed definition revised — §4.2). The candidate ids
+  /// are listed once; the first page of kBackfillPage of them is checked
+  /// and submitted in this call, each later page in its own loop task,
+  /// so a long history never holds the loop. A later Backfill of the
+  /// same subscriber replaces the running stream; the stream stops if the
+  /// subscriber goes offline or is removed (the probe's backfill on its
+  /// return starts a fresh one).
   void Backfill(const SubscriberName& subscriber);
 
   /// Recomputes queues for every subscriber of `feed` (after revision).
@@ -152,9 +161,10 @@ class DeliveryEngine {
 
   /// Failover re-route: submits to `to` every file in `from`'s feeds
   /// that has no delivery receipt for `from` — the backlog a down
-  /// primary is sitting on — skipping files `to` already holds. The
-  /// caller must have subscribed `to` to the relevant feeds first; any
-  /// duplicate this creates is absorbed downstream by receipt dedupe.
+  /// primary is sitting on — skipping files `to` already holds. Pages
+  /// like Backfill. The caller must have subscribed `to` to the relevant
+  /// feeds first; any duplicate this creates is absorbed downstream by
+  /// receipt dedupe.
   void RerouteUndelivered(const SubscriberName& from,
                           const SubscriberName& to);
 
@@ -238,9 +248,27 @@ class DeliveryEngine {
   template <typename File>
   void SubmitJob(const File& file, FileId id, const SubscriberName& subscriber,
                  const FeedName& feed, Duration tardiness, bool backfill);
-  /// Commits buffered delivery receipts, then recomputes the files in
-  /// `sub`'s feeds and history window it holds no delivery receipt for.
-  std::vector<ArrivalReceipt> UndeliveredTo(const SubscriberSpec& sub);
+  /// Who a backfill stream serves: the subscriber whose receipts define
+  /// "undelivered" and the one the jobs go to (the same for a Backfill,
+  /// primary and replica for a re-route).
+  using StreamKey = std::pair<SubscriberName, SubscriberName>;
+  /// A backfill stream in progress: the candidate ids, listed once, and
+  /// how far the pages have got.
+  struct BackfillCursor {
+    std::vector<FileId> ids;
+    size_t next = 0;
+    TimePoint window_start = 0;
+    /// Distinguishes this stream from the one it replaced, whose posted
+    /// page must then do nothing.
+    uint64_t serial = 0;
+  };
+  /// Commits buffered delivery receipts, lists the files in `from`'s
+  /// feeds, and starts (or restarts) streaming the ones `from` has no
+  /// delivery receipt for to `to`.
+  void StreamUndelivered(const SubscriberSpec& from, const SubscriberName& to);
+  /// Checks and submits the next page of `key`'s stream, then posts the
+  /// page after it.
+  void BackfillPage(const StreamKey& key, uint64_t serial);
   /// pending_ bookkeeping: inserts/erases keep the size-capped order
   /// queue and the depth gauge in step with the set.
   void InsertPending(const std::pair<FileId, SubscriberName>& key);
@@ -311,6 +339,9 @@ class DeliveryEngine {
   StagedPayloadCache payload_cache_;
   /// Delivery receipts awaiting their group commit.
   std::vector<ReceiptDatabase::DeliveryRecord> receipt_buffer_;
+  /// Backfill streams in progress.
+  std::map<StreamKey, BackfillCursor> backfills_;
+  uint64_t backfill_serial_ = 0;
   bool receipt_flush_timer_armed_ = false;
 };
 

@@ -252,36 +252,45 @@ Result<ArrivalReceipt> ReceiptDatabase::GetArrival(FileId file_id) const {
 }
 
 std::vector<FileId> ReceiptDatabase::FilesInFeed(const FeedName& feed) const {
+  return FilesInFeeds({feed});
+}
+
+std::vector<FileId> ReceiptDatabase::FilesInFeeds(
+    const std::vector<FeedName>& feeds) const {
   std::vector<FileId> out;
-  std::string prefix = "f/" + feed + "/";
-  for (const auto& kv : kvs_) {
-    for (const auto& [key, _] : kv->ScanPrefix(prefix)) {
-      auto id = ParseFileIdKey(std::string_view(key).substr(prefix.size()));
-      if (id.ok()) out.push_back(*id);
+  for (const auto& feed : feeds) {
+    std::string prefix = "f/" + feed + "/";
+    for (const auto& kv : kvs_) {
+      for (const auto& [key, _] : kv->ScanPrefix(prefix)) {
+        auto id = ParseFileIdKey(std::string_view(key).substr(prefix.size()));
+        if (id.ok()) out.push_back(*id);
+      }
     }
   }
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+std::optional<ArrivalReceipt> ReceiptDatabase::Undelivered(
+    const SubscriberName& subscriber, FileId file_id,
+    TimePoint window_start) const {
+  if (Delivered(subscriber, file_id)) return std::nullopt;
+  auto receipt = GetArrival(file_id);
+  if (!receipt.ok() || receipt->arrival_time < window_start) {
+    return std::nullopt;
+  }
+  return std::move(*receipt);
 }
 
 std::vector<ArrivalReceipt> ReceiptDatabase::ComputeDeliveryQueue(
     const SubscriberName& subscriber, const std::vector<FeedName>& feeds,
     TimePoint window_start) const {
-  std::vector<FileId> candidates;
-  for (const auto& feed : feeds) {
-    auto ids = FilesInFeed(feed);
-    candidates.insert(candidates.end(), ids.begin(), ids.end());
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
   std::vector<ArrivalReceipt> queue;
-  for (FileId id : candidates) {
-    if (Delivered(subscriber, id)) continue;
-    auto receipt = GetArrival(id);
-    if (!receipt.ok()) continue;  // feed index may outlive expired receipts
-    if (receipt->arrival_time < window_start) continue;
-    queue.push_back(std::move(*receipt));
+  for (FileId id : FilesInFeeds(feeds)) {
+    if (auto receipt = Undelivered(subscriber, id, window_start)) {
+      queue.push_back(std::move(*receipt));
+    }
   }
   return queue;
 }

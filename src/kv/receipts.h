@@ -110,12 +110,25 @@ class ReceiptDatabase {
 
   /// All file ids recorded for `feed`, ascending (merged across shards).
   std::vector<FileId> FilesInFeed(const FeedName& feed) const;
+  /// All file ids recorded for any of `feeds`, ascending, each once: the
+  /// candidate step of a delivery queue.
+  std::vector<FileId> FilesInFeeds(const std::vector<FeedName>& feeds) const;
+
+  /// The per-file step of a delivery queue: `file_id`'s arrival receipt
+  /// if it has no delivery receipt for `subscriber` and arrived at or
+  /// after `window_start`; nullopt if it is delivered, outside the
+  /// window, or expired (the feed index may outlive expired receipts).
+  std::optional<ArrivalReceipt> Undelivered(const SubscriberName& subscriber,
+                                            FileId file_id,
+                                            TimePoint window_start) const;
 
   /// Computes a subscriber's delivery queue: every file in any of `feeds`
   /// with arrival_time >= window_start that has no delivery receipt for
-  /// `subscriber`. This is the paper's core reliability mechanism — queues
-  /// are derived from receipts, so subscriber restarts, new subscriptions
-  /// and feed redefinitions all reduce to recomputing this set.
+  /// `subscriber` — Undelivered() over FilesInFeeds(). This is the
+  /// paper's core reliability mechanism — queues are derived from
+  /// receipts, so subscriber restarts, new subscriptions and feed
+  /// redefinitions all reduce to recomputing this set. The delivery
+  /// engine walks the same two steps a page at a time.
   std::vector<ArrivalReceipt> ComputeDeliveryQueue(
       const SubscriberName& subscriber, const std::vector<FeedName>& feeds,
       TimePoint window_start = 0) const;

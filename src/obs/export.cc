@@ -333,17 +333,19 @@ ScrapeHandle StartMetricsScrape(
     EventLoop* loop, MetricsRegistry* registry, Duration interval,
     std::function<void(const std::string&)> consume) {
   auto token = std::make_shared<char>(0);
-  // The tick closure owns itself via shared_ptr so reposted copies stay
-  // alive; the weak token makes every queued tick a no-op once the
-  // caller drops the handle.
+  // Each queued tick owns the tick closure; the closure holds itself
+  // only weakly, so it is freed with the last queued tick — when a tick
+  // finds the handle dropped and does not repost, or when the loop is
+  // destroyed with a tick still queued.
   auto tick = std::make_shared<std::function<void()>>();
   *tick = [loop, registry, interval, consume = std::move(consume),
-           weak = std::weak_ptr<char>(token), tick] {
+           weak = std::weak_ptr<char>(token),
+           self = std::weak_ptr<std::function<void()>>(tick)] {
     if (weak.expired()) return;
     consume(ExportPrometheus(registry));
-    loop->PostAfter(interval, *tick);
+    loop->PostAfter(interval, [tick = self.lock()] { (*tick)(); });
   };
-  loop->PostAfter(interval, *tick);
+  loop->PostAfter(interval, [tick] { (*tick)(); });
   return token;
 }
 

@@ -1,161 +1,74 @@
 #include "sched/policy.h"
 
-#include <deque>
 #include <map>
-#include <queue>
+#include <set>
+#include <tuple>
 #include <vector>
 
 namespace bistro {
 
 namespace {
 
-// Shared helper: extract one job for `file_id` from a deque, if present.
-std::optional<TransferJob> TakeForFile(std::deque<TransferJob>* q,
-                                       FileId file_id) {
-  for (auto it = q->begin(); it != q->end(); ++it) {
-    if (it->file_id == file_id) {
-      TransferJob job = std::move(*it);
-      q->erase(it);
-      return job;
-    }
-  }
-  return std::nullopt;
-}
-
-/// First-come first-served: jobs run in submission order. The natural
-/// behaviour of a cron-driven pipeline; backlogs head-of-line block
-/// everything behind them.
-class FifoPolicy : public SchedulingPolicy {
+/// Queued jobs indexed by file, so the locality lookup costs O(log n)
+/// instead of a scan of the whole queue. `Key` is the policy's own
+/// ordering key, so First() names the job a scan in policy order would
+/// find first.
+template <typename Key>
+class FileIndex {
  public:
-  void Add(TransferJob job) override { queue_.push_back(std::move(job)); }
+  void Add(FileId file, const Key& key) { by_file_[file].insert(key); }
 
-  std::optional<TransferJob> Next() override {
-    if (queue_.empty()) return std::nullopt;
-    TransferJob job = std::move(queue_.front());
-    queue_.pop_front();
-    return job;
+  void Remove(FileId file, const Key& key) {
+    auto it = by_file_.find(file);
+    if (it == by_file_.end()) return;
+    it->second.erase(key);
+    if (it->second.empty()) by_file_.erase(it);
   }
 
-  std::optional<TransferJob> NextForFile(FileId file_id) override {
-    return TakeForFile(&queue_, file_id);
+  /// The first queued job for `file` in policy order, if any.
+  const Key* First(FileId file) const {
+    auto it = by_file_.find(file);
+    return it == by_file_.end() ? nullptr : &*it->second.begin();
   }
-
-  size_t Size() const override { return queue_.size(); }
 
  private:
-  std::deque<TransferJob> queue_;
+  std::map<FileId, std::set<Key>> by_file_;
 };
 
-/// Earliest Deadline First: the job with the smallest deadline runs next.
-class EdfPolicy : public SchedulingPolicy {
+/// FIFO, EDF and Max-Benefit differ only in how they order the queue:
+///  - FIFO runs jobs in submission order — the natural behaviour of a
+///    cron-driven pipeline; backlogs head-of-line block everything
+///    behind them.
+///  - EDF (Earliest Deadline First) runs the smallest deadline next.
+///  - Max-Benefit (cited by the paper from the stream-warehouse update
+///    literature [6]) runs the job with the highest benefit per unit of
+///    resource. Transfer cost is proportional to file size, and all
+///    deliveries carry equal benefit, so priority is benefit density
+///    1/size (shortest transfer first), with the earlier deadline
+///    breaking ties — small real-time files overtake bulk backfill.
+/// Each fills only the key fields it orders by; the submission sequence
+/// breaks every remaining tie FIFO.
+class KeyedPolicy : public SchedulingPolicy {
  public:
+  explicit KeyedPolicy(PolicyKind kind) : kind_(kind) {}
+
   void Add(TransferJob job) override {
-    queue_.emplace(std::make_pair(job.deadline, seq_++), std::move(job));
-  }
-
-  std::optional<TransferJob> Next() override {
-    if (queue_.empty()) return std::nullopt;
-    auto it = queue_.begin();
-    TransferJob job = std::move(it->second);
-    queue_.erase(it);
-    return job;
-  }
-
-  std::optional<TransferJob> NextForFile(FileId file_id) override {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->second.file_id == file_id) {
-        TransferJob job = std::move(it->second);
-        queue_.erase(it);
-        return job;
-      }
-    }
-    return std::nullopt;
-  }
-
-  size_t Size() const override { return queue_.size(); }
-
- private:
-  // (deadline, insertion seq) -> job; ties resolve FIFO.
-  std::map<std::pair<TimePoint, uint64_t>, TransferJob> queue_;
-  uint64_t seq_ = 0;
-};
-
-/// Round-robin across subscribers: each subscriber has a FIFO lane and
-/// lanes take turns, so one backlogged subscriber cannot monopolize the
-/// head of the queue (but gets no deadline awareness either).
-class RoundRobinPolicy : public SchedulingPolicy {
- public:
-  void Add(TransferJob job) override {
-    auto [it, inserted] = lanes_.try_emplace(job.subscriber);
-    it->second.push_back(std::move(job));
-    if (inserted) order_.push_back(it->first);
-    ++size_;
-  }
-
-  std::optional<TransferJob> Next() override {
-    if (size_ == 0) return std::nullopt;
-    for (size_t tried = 0; tried < order_.size(); ++tried) {
-      cursor_ = (cursor_ + 1) % order_.size();
-      auto it = lanes_.find(order_[cursor_]);
-      if (it != lanes_.end() && !it->second.empty()) {
-        TransferJob job = std::move(it->second.front());
-        it->second.pop_front();
-        --size_;
-        return job;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::optional<TransferJob> NextForFile(FileId file_id) override {
-    for (auto& [_, lane] : lanes_) {
-      auto job = TakeForFile(&lane, file_id);
-      if (job.has_value()) {
-        --size_;
-        return job;
-      }
-    }
-    return std::nullopt;
-  }
-
-  size_t Size() const override { return size_; }
-
- private:
-  std::map<SubscriberName, std::deque<TransferJob>> lanes_;
-  std::vector<SubscriberName> order_;
-  size_t cursor_ = 0;
-  size_t size_ = 0;
-};
-
-/// Max-Benefit scheduling (cited by the paper from the stream-warehouse
-/// update literature [6]): run the job with the highest benefit per unit
-/// of resource. Transfer cost is proportional to file size, and all
-/// deliveries carry equal benefit, so priority is benefit density 1/size
-/// (shortest transfer first), with the earlier deadline breaking ties —
-/// small real-time files overtake bulk backfill.
-class MaxBenefitPolicy : public SchedulingPolicy {
- public:
-  void Add(TransferJob job) override {
-    queue_.emplace(Key{job.size, job.deadline, seq_++}, std::move(job));
+    Key key{0, 0, seq_++};
+    if (kind_ != PolicyKind::kFifo) key.deadline = job.deadline;
+    if (kind_ == PolicyKind::kMaxBenefit) key.size = job.size;
+    index_.Add(job.file_id, key);
+    queue_.emplace(key, std::move(job));
   }
 
   std::optional<TransferJob> Next() override {
     if (queue_.empty()) return std::nullopt;
-    auto it = queue_.begin();
-    TransferJob job = std::move(it->second);
-    queue_.erase(it);
-    return job;
+    return Take(queue_.begin());
   }
 
   std::optional<TransferJob> NextForFile(FileId file_id) override {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->second.file_id == file_id) {
-        TransferJob job = std::move(it->second);
-        queue_.erase(it);
-        return job;
-      }
-    }
-    return std::nullopt;
+    const Key* key = index_.First(file_id);
+    if (key == nullptr) return std::nullopt;
+    return Take(queue_.find(*key));
   }
 
   size_t Size() const override { return queue_.size(); }
@@ -166,12 +79,77 @@ class MaxBenefitPolicy : public SchedulingPolicy {
     TimePoint deadline;
     uint64_t seq;
     bool operator<(const Key& o) const {
-      if (size != o.size) return size < o.size;  // highest 1/size first
-      if (deadline != o.deadline) return deadline < o.deadline;
-      return seq < o.seq;
+      return std::tie(size, deadline, seq) < std::tie(o.size, o.deadline, o.seq);
     }
   };
+
+  TransferJob Take(std::map<Key, TransferJob>::iterator it) {
+    TransferJob job = std::move(it->second);
+    index_.Remove(job.file_id, it->first);
+    queue_.erase(it);
+    return job;
+  }
+
+  PolicyKind kind_;
   std::map<Key, TransferJob> queue_;
+  FileIndex<Key> index_;
+  uint64_t seq_ = 0;
+};
+
+/// Round-robin across subscribers: each subscriber has a FIFO lane and
+/// lanes take turns, so one backlogged subscriber cannot monopolize the
+/// head of the queue (but gets no deadline awareness either). The
+/// locality lookup takes the file's job from the first lane in name
+/// order, the earliest-submitted one within it.
+class RoundRobinPolicy : public SchedulingPolicy {
+ public:
+  void Add(TransferJob job) override {
+    auto [it, inserted] = lanes_.try_emplace(job.subscriber);
+    index_.Add(job.file_id, {job.subscriber, seq_});
+    it->second.emplace(seq_++, std::move(job));
+    if (inserted) order_.push_back(it->first);
+    ++size_;
+  }
+
+  std::optional<TransferJob> Next() override {
+    if (size_ == 0) return std::nullopt;
+    for (size_t tried = 0; tried < order_.size(); ++tried) {
+      cursor_ = (cursor_ + 1) % order_.size();
+      auto it = lanes_.find(order_[cursor_]);
+      if (it != lanes_.end() && !it->second.empty()) {
+        return Take(&it->second, it->second.begin());
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::optional<TransferJob> NextForFile(FileId file_id) override {
+    const LaneKey* key = index_.First(file_id);
+    if (key == nullptr) return std::nullopt;
+    Lane& lane = lanes_.find(key->first)->second;
+    return Take(&lane, lane.find(key->second));
+  }
+
+  size_t Size() const override { return size_; }
+
+ private:
+  /// One subscriber's jobs by submission sequence.
+  using Lane = std::map<uint64_t, TransferJob>;
+  using LaneKey = std::pair<SubscriberName, uint64_t>;
+
+  TransferJob Take(Lane* lane, Lane::iterator it) {
+    TransferJob job = std::move(it->second);
+    index_.Remove(job.file_id, {job.subscriber, it->first});
+    lane->erase(it);
+    --size_;
+    return job;
+  }
+
+  std::map<SubscriberName, Lane> lanes_;
+  std::vector<SubscriberName> order_;
+  FileIndex<LaneKey> index_;
+  size_t cursor_ = 0;
+  size_t size_ = 0;
   uint64_t seq_ = 0;
 };
 
@@ -202,13 +180,11 @@ std::string_view PolicyKindName(PolicyKind kind) {
 std::unique_ptr<SchedulingPolicy> MakePolicy(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kFifo:
-      return std::make_unique<FifoPolicy>();
     case PolicyKind::kEdf:
-      return std::make_unique<EdfPolicy>();
+    case PolicyKind::kMaxBenefit:
+      return std::make_unique<KeyedPolicy>(kind);
     case PolicyKind::kRoundRobin:
       return std::make_unique<RoundRobinPolicy>();
-    case PolicyKind::kMaxBenefit:
-      return std::make_unique<MaxBenefitPolicy>();
   }
   return nullptr;
 }

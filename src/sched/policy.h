@@ -25,14 +25,11 @@ class SchedulingPolicy {
   virtual std::optional<TransferJob> Next() = 0;
   virtual size_t Size() const = 0;
 
-  /// Removes and returns a pending job for `file_id` if one exists
-  /// (locality heuristic: deliver the same file to several subscribers
-  /// back-to-back while it is hot). Default: linear scan subclasses may
-  /// override; policies that cannot support it return nullopt.
-  virtual std::optional<TransferJob> NextForFile(FileId file_id) {
-    (void)file_id;
-    return std::nullopt;
-  }
+  /// Removes and returns the first pending job for `file_id` in policy
+  /// order, if one exists (locality heuristic: deliver the same file to
+  /// several subscribers back-to-back while it is hot). Every policy
+  /// indexes its queue by file, so this costs O(log n).
+  virtual std::optional<TransferJob> NextForFile(FileId file_id) = 0;
 };
 
 enum class PolicyKind { kFifo, kEdf, kRoundRobin, kMaxBenefit };

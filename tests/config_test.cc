@@ -649,6 +649,40 @@ TEST(RegistryTest, UpdateFeedRollsBackWhenCheckFails) {
   EXPECT_TRUE(registry->FindFeed("F")->pattern.Matches("new_1"));
 }
 
+TEST(RegistryTest, UpdateFeedRefusesGroupPrefixEitherWay) {
+  auto registry = MustRegistry(R"(group SNMP { feed CPU { pattern "cpu_%i"; } })");
+  bool checked = false;
+  auto check = [&] {
+    checked = true;
+    return Status::OK();
+  };
+  // A new feed under an existing one...
+  FeedSpec under = registry->FindFeed("SNMP.CPU")->spec;
+  under.name = "SNMP.CPU.X";
+  under.pattern = "cpux_%i";
+  Status status = registry->UpdateFeed(under, check);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "feed 'SNMP.CPU' is also a group prefix of 'SNMP.CPU.X'");
+  // ...and a new feed over one: both are refused as Create refuses them.
+  FeedSpec over = under;
+  over.name = "SNMP";
+  over.pattern = "snmp_%i";
+  status = registry->UpdateFeed(over, check);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "feed 'SNMP' is also a group prefix of 'SNMP.CPU'");
+  EXPECT_FALSE(checked);
+  EXPECT_EQ(registry->feeds().size(), 1u);
+  EXPECT_EQ(registry->Expand("SNMP.CPU"), std::vector<FeedName>{"SNMP.CPU"});
+  // A sibling that merely shares the letters is not under SNMP.CPU.
+  FeedSpec sibling = under;
+  sibling.name = "SNMP.CPUX";
+  EXPECT_TRUE(registry->UpdateFeed(sibling, check).ok());
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(registry->Expand("SNMP").size(), 2u);
+}
+
 TEST(RegistryTest, AddSubscriberAtRuntime) {
   auto registry = MustRegistry(R"(feed F { pattern "a_%i"; })");
   SubscriberSpec sub;

@@ -717,5 +717,102 @@ subscriber s { feeds NOPE; }
   EXPECT_FALSE(server.ok());
 }
 
+// ------------------------------------------------------ Backfill paging
+
+constexpr size_t kPage = DeliveryEngine::kBackfillPage;
+constexpr size_t kHistory = 3 * kPage + 10;  // more than three pages
+
+/// A server whose subscriber "s" has received kHistory files, and a sink
+/// for "late", which joins afterwards and streams that history.
+struct HistoryRig {
+  Rig rig{kOneFeedOneSub};
+  InMemoryFileSystem sub_fs;
+  FileSinkEndpoint s_sink{&sub_fs, "/s"};
+  FileSinkEndpoint late_sink{&sub_fs, "/late"};
+
+  HistoryRig() {
+    rig.transport.Register("s", &s_sink);
+    rig.transport.Register("late", &late_sink);
+    for (size_t i = 1; i <= kHistory; ++i) {
+      EXPECT_TRUE(rig.server
+                      ->Deposit("p",
+                                StrFormat("CPU_POLL%zu_201009250400.txt", i),
+                                "x")
+                      .ok());
+    }
+    rig.loop.RunUntilIdle();
+    EXPECT_EQ(s_sink.files_received(), kHistory);
+  }
+
+  Status Join() {
+    SubscriberSpec late;
+    late.name = "late";
+    late.feeds = {"CPU"};
+    late.method = DeliveryMethod::kPush;
+    return rig.server->AddSubscriber(late);
+  }
+
+  uint64_t backfilled() const {
+    return rig.server->delivery_stats().backfilled;
+  }
+
+  /// Runs loop events until the stream has submitted at least `jobs`.
+  void RunUntilBackfilled(uint64_t jobs) {
+    while (backfilled() < jobs && rig.loop.RunOne()) {
+    }
+  }
+
+  /// Every history file reached "late" exactly once, with its receipt.
+  void ExpectLateComplete() {
+    EXPECT_EQ(late_sink.files_received(), kHistory);
+    EXPECT_EQ(late_sink.duplicates(), 0u);
+    for (FileId id = 1; id <= kHistory; ++id) {
+      EXPECT_TRUE(rig.server->receipts()->Delivered("late", id)) << id;
+    }
+  }
+};
+
+TEST(BackfillPagingTest, JoinSubmitsOnePageThenStreamsTheRest) {
+  HistoryRig h;
+  ASSERT_TRUE(h.Join().ok());
+  // The join returns after one page; later pages are loop tasks.
+  EXPECT_GT(h.backfilled(), 0u);
+  EXPECT_LE(h.backfilled(), kPage);
+  h.rig.loop.RunUntilIdle();
+  EXPECT_EQ(h.backfilled(), kHistory);
+  h.ExpectLateComplete();
+}
+
+TEST(BackfillPagingTest, SecondBackfillMidStreamReplacesTheStream) {
+  HistoryRig h;
+  ASSERT_TRUE(h.Join().ok());
+  h.RunUntilBackfilled(2 * kPage);
+  ASSERT_LT(h.backfilled(), kHistory);
+  h.rig.server->delivery()->Backfill("late");
+  h.rig.loop.RunUntilIdle();
+  // Files the first stream queued are pending, and delivered ones have
+  // receipts, so the second stream submits none of them again.
+  EXPECT_EQ(h.backfilled(), kHistory);
+  h.ExpectLateComplete();
+}
+
+TEST(BackfillPagingTest, OfflineMidStreamStopsAndOnlineResumes) {
+  HistoryRig h;
+  ASSERT_TRUE(h.Join().ok());
+  h.RunUntilBackfilled(2 * kPage);
+  ASSERT_LT(h.backfilled(), kHistory);
+  h.rig.server->delivery()->SetOffline("late", true);
+  // The stream stops at its next page; queued jobs are dropped. (Only
+  // events due now run, so the probe that would bring "late" back
+  // online does not fire.)
+  const uint64_t at_offline = h.backfilled();
+  h.rig.loop.RunUntil(h.rig.clock.Now());
+  EXPECT_EQ(h.backfilled(), at_offline);
+  EXPECT_LT(h.late_sink.files_received(), kHistory);
+  h.rig.server->delivery()->SetOffline("late", false);
+  h.rig.loop.RunUntilIdle();
+  h.ExpectLateComplete();
+}
+
 }  // namespace
 }  // namespace bistro

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/random.h"
 #include "sched/scheduler.h"
 
 namespace bistro {
@@ -337,6 +340,131 @@ TEST(PartitionedSchedulerTest, RebalanceMovesSlowSubscriberDown) {
   }
   EXPECT_EQ(sched.PartitionOf("fast"), 0u);
   EXPECT_EQ(sched.PartitionOf("slow"), 1u);
+}
+
+// ------------------------------------------------- Golden dispatch order
+
+// One seeded job for the golden traces: files 1-6 (so several
+// subscribers share a file), subscribers a-d, deadlines and sizes drawn
+// from small ranges so ties exercise every tie-break.
+TransferJob SeededJob(Rng* rng) {
+  FileId file = 1 + rng->Uniform(6);
+  std::string sub(1, static_cast<char>('a' + rng->Uniform(4)));
+  TimePoint deadline = static_cast<TimePoint>(rng->Uniform(40));
+  uint64_t size = 100 * (1 + rng->Uniform(4));
+  return MakeJob(file, sub, deadline, size);
+}
+
+std::string Token(const std::optional<TransferJob>& job) {
+  return job ? std::to_string(job->file_id) + job->subscriber + " " : "- ";
+}
+
+// Replays one seeded sequence of Add / Next / NextForFile calls through a
+// policy and lists the pops in order ("-" for an empty pop).
+std::string PolicyTrace(PolicyKind kind) {
+  auto policy = MakePolicy(kind);
+  Rng rng(29);
+  std::string out;
+  for (int op = 0; op < 160; ++op) {
+    uint64_t r = rng.Uniform(10);
+    if (r < 5) {
+      policy->Add(SeededJob(&rng));
+    } else if (r < 8) {
+      out += Token(policy->Next());
+    } else {
+      out += Token(policy->NextForFile(1 + rng.Uniform(6)));
+    }
+  }
+  return out;
+}
+
+// The same for a partitioned scheduler with locality on, two partitions
+// of three slots and a subscriber window of 2: Submit / Dequeue /
+// OnComplete of a random in-flight job. A (file, subscriber) pair is
+// submitted again only after its earlier job completed.
+std::string PartitionedTrace(PolicyKind kind) {
+  PartitionedScheduler::Options opts;
+  opts.num_partitions = 2;
+  opts.slots_per_partition = 3;
+  opts.intra_policy = kind;
+  opts.locality = true;
+  PartitionedScheduler sched(opts);
+  sched.SetSubscriberWindow(2);
+  sched.SetPartition("c", 1);
+  sched.SetPartition("d", 1);
+  Rng rng(29);
+  std::set<std::pair<FileId, SubscriberName>> live;
+  std::vector<TransferJob> running;
+  std::string out;
+  for (int op = 0; op < 240; ++op) {
+    uint64_t r = rng.Uniform(10);
+    if (r < 5) {
+      TransferJob job = SeededJob(&rng);
+      if (live.insert({job.file_id, job.subscriber}).second) {
+        sched.Submit(std::move(job));
+      }
+    } else if (r < 8) {
+      auto job = sched.Dequeue();
+      out += Token(job);
+      if (job) running.push_back(std::move(*job));
+    } else if (!running.empty()) {
+      size_t i = rng.Uniform(running.size());
+      sched.OnComplete(running[i], true, 0, 0);
+      live.erase({running[i].file_id, running[i].subscriber});
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
+  return out;
+}
+
+// Pins the pop order of every policy, alone and inside the partitioned
+// scheduler, to the order the original linear-scan policies produced.
+TEST(PolicyTest, GoldenDispatchOrder) {
+  const PolicyKind kinds[] = {PolicyKind::kFifo, PolicyKind::kEdf,
+                              PolicyKind::kRoundRobin,
+                              PolicyKind::kMaxBenefit};
+  const char* const policy_golden[] = {
+      "- - 2b 1a - - 5c 6c 3b - - - - 6c - 5b 2b 4a 2c 2d - 4c 3a - "
+      "2b 3c 4c 5d 4c 4a 5d 6c 2b 3c 1a - 5c - - 4a - 3b 6c 3a 1c 5c "
+      "4c - 5a 3b 3d 3a 1d 2b 6d 5c 6b 2a 5a 4d 3b 6a 5b 4c 5d 2a 3c "
+      "- 1c 4a - 1a 6c 5c - 5c - 6a 5a 6c 4c 3c 4c 2c 2b - ",
+      "- - 2b 1a - - 6c 3b 5c - - - - 2d - 4c 2c 6c 4a 5b - 3a 3c - "
+      "2b 5d 4c 5d 3c 4a 2b 1a 6c 5c - 2b 3b - - 6c 4c 6d - 1c - 5c "
+      "4c - 5a 3d 2b 5b 1d - 2a 5c 6a - 4c 4a 5d 3c 3a 1c 2a - 3b 3a "
+      "1a 5c - - 6a 4c - 4c - 2c 6c 6c 2d 5b 5b 3c 5c - ",
+      "- - 2b 1a - - 5c 3b 6c - - - - 2d - 5b 2b 4a 6c 2c - 3a 4c - "
+      "2b 5d 3c 5d 2b 4a 1a 4c 4a 4c - - 3b - - 3a - 6c 6c 3d 1c 3b "
+      "4c - 5a 3a 3c 6d 1d 2b 3b 5a 6a 2a 5c 4a 4d 6b 2a 5c 5d - 3c "
+      "- 1a 5b - 1c 6a 5c - 2b - 5a 4c 6c 2d 5b 4a 5c 5b - ",
+      "- - 2b 1a - - 3b 5c 6c - - - - 2d - 5b 2c 6c 4a 4c - 3c 3a - "
+      "2b 5d 4c 5d 1a 4a 5c 4a 6c 4c - 2b 3b - - 6c - 6d - 1c - 5c "
+      "4c 2b 5c 1d 6b 2b - - 2a 5b 6a - 3b 4a 4d 3b 5d 1c 6c 2a 3c "
+      "3d 1a 5c - - 4c 2c - 3c - 5a 2a 6c 5b 4c 3c 4a 4c - ",
+  };
+  const char* const partitioned_golden[] = {
+      "- 2b 2d 1a 5c 3b 6c 5b 2c 2b 4c 4a 3a 2b - 5d 3c 1a - - 6c 3b "
+      "6d 3a 5c 5a 3d 5b 1c 6b 1d 6a 4c 2b 4d 2a 4c 2b 5d 2a 5c 4a "
+      "3c 5b 6c - 2d - 1c 2c - - 3b - 2c - - - - 1a 6a 5a 2c 3a 1b "
+      "2d 1a ",
+      "- 1a 6c 2b 2d 3b 2d 4a 2c 5b - 4c 3a 5c 5d 3c 1a 4a - - 3b 6c "
+      "3a 6d 5a 1c 6a 1d 6b 3d 2a 3c 2b 5d 5b 5c 5a 2c 6a 1c 4a 2d "
+      "5b 3c 2b - 2a - 5c 3a - - 3b - 1a - - - - 4d 4c 1a 3d 1b 3c "
+      "1a 3d ",
+      "- 1a 5c 2b 2d 3b 2c 4a 2d 5b 6c 3a - 5d 2b 4c 4a 1a - - 3c 3b "
+      "3d 3a 6d 5a 6c 5b 5c 6b 5d 6a 1d 2a 1c 2b 4c 2b 4d 2a 2d 5b "
+      "2c 5a 3c - - - 6c 4a 3d - 3b - 2d - - - - 1a 5c 6a 3a 3c 3a "
+      "6d 4c ",
+      "- 2b 2d 3b 5c 1a 6c 5b 4c 4a 2c 3a 2b 2b - 5d 3c 1a - - 5c 4a "
+      "6d 3b 6c 3a 1c 6b 1d 6a 4d 2a 4c 2b 1c 4a 2c 5b 6c 5a 4c 5b "
+      "5d 2a 5c - 2c - 2b 2d 4c - - - 3d - - - - 3b 3a 1b 1a 3c 5c "
+      "5d 2a ",
+  };
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(PolicyTrace(kinds[i]), policy_golden[i])
+        << PolicyKindName(kinds[i]);
+    EXPECT_EQ(PartitionedTrace(kinds[i]), partitioned_golden[i])
+        << PolicyKindName(kinds[i]);
+  }
 }
 
 }  // namespace

@@ -332,6 +332,34 @@ TEST_F(ServerTest, ReviseFeedOverCompileBudgetKeepsPreviousDefinition) {
   EXPECT_EQ(server_->stats().files_unmatched, 0u);
 }
 
+TEST_F(ServerTest, ReviseFeedRefusesGroupPrefixEitherWay) {
+  auto table = server_->classifier()->automaton();
+  FeedSpec under = server_->registry()->FindFeed("SNMP.CPU")->spec;
+  under.name = "SNMP.CPU.X";
+  under.pattern = "CPUX_%i.txt";
+  FeedSpec over = under;
+  over.name = "SNMP";
+  over.pattern = "SNMP_%i.txt";
+  for (const FeedSpec& spec : {under, over}) {
+    Status status = server_->ReviseFeed(spec);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << spec.name;
+    EXPECT_NE(status.message().find("group prefix"), std::string::npos)
+        << status;
+    EXPECT_EQ(server_->registry()->FindFeed(spec.name), nullptr);
+  }
+  // Registry, classifier and delivery are as they were: the dashboard's
+  // SNMP.CPU still names one feed, and the new names match nothing.
+  EXPECT_EQ(server_->registry()->feeds().size(), 2u);
+  EXPECT_EQ(server_->registry()->Expand("SNMP.CPU"),
+            std::vector<FeedName>{"SNMP.CPU"});
+  EXPECT_EQ(server_->classifier()->automaton(), table);
+  ASSERT_TRUE(server_->Deposit("p", "CPUX_1.txt", "x").ok());
+  ASSERT_TRUE(server_->Deposit("p", "SNMP_1.txt", "y").ok());
+  loop_->RunUntilIdle();
+  EXPECT_EQ(server_->stats().files_classified, 0u);
+  EXPECT_EQ(server_->stats().files_unmatched, 2u);
+}
+
 TEST(ServerCreateTest, RefusesFeedTableOverCompileBudget) {
   std::string text;
   std::vector<std::string> patterns = ContainsIdPatterns();
